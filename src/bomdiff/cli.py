@@ -13,7 +13,6 @@ import contextlib
 import datetime
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from bomdiff import flatcompare, fuzzy, graphcompare, ingest, report
 from bomdiff.flatcompare import FieldSelector
@@ -35,6 +34,14 @@ USAGE_ERROR = 2
 PARSE_ERROR = 3
 
 
+def _prefix(value: str) -> str:
+    # IngestOptions refuses an empty prefix (it would drop everything);
+    # refusing it here makes it a usage error instead of a traceback
+    if not value:
+        raise argparse.ArgumentTypeError("must be non-empty")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, inputs: int):
     if inputs == 1:
         p.add_argument("file", help="BOM file to read")
@@ -50,6 +57,7 @@ def _add_common(p: argparse.ArgumentParser, inputs: int):
         "--drop-prefix",
         action="append",
         default=[],
+        type=_prefix,
         metavar="PREFIX",
         help="drop components whose purl ecosystem equals or name starts "
         "with PREFIX (repeatable)",
@@ -146,14 +154,10 @@ def _threshold(args) -> float:
 
 def _load_two(args, opts) -> tuple:
     hint = _FORMAT_CHOICES[args.format_in] if args.format_in else None
-    # Parse both inputs concurrently; results (and errors) surface in
-    # left-then-right order regardless of completion order.
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [
-            pool.submit(ingest.load_document, path, opts, hint)
-            for path in (args.left, args.right)
-        ]
-        return tuple(f.result() for f in futures)
+    # Left first, so a bad left input is the error reported.
+    return tuple(
+        ingest.load_document(path, opts, hint) for path in (args.left, args.right)
+    )
 
 
 def _emit(out, args, text: str):

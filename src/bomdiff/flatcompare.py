@@ -198,9 +198,18 @@ def cross_field_consistency(
     digest under different names conflicts the other. Hashless components
     never produce findings (hash_coverage reports how many were skipped).
     Pair verdicts are grouped per name (or per digest) into findings.
+
+    The right side is indexed by name and by (algorithm, digest), so only
+    pairs that share a name or a digest are visited: the cost is
+    O(n + m + pairs reported), not O(n * m).
     """
-    lh = [c for c in left.components if c.hashes]
-    rh = [c for c in right.components if c.hashes]
+    by_name: dict[str, list] = {}
+    by_digest: dict[tuple[str, str], list] = {}
+    for rc in right.components:
+        if rc.hashes:
+            by_name.setdefault(rc.name, []).append(rc)
+            for h in rc.hashes:
+                by_digest.setdefault(h, []).append(rc)
 
     consensus: dict[str, tuple[set, set, int]] = {}
     sndh: dict[str, tuple[set, set, int]] = {}
@@ -212,17 +221,20 @@ def cross_field_consistency(
         rs.add(rid)
         bucket[key] = (ls, rs, n + 1)
 
-    for lc in lh:
+    for lc in left.components:
+        if not lc.hashes:
+            continue
         lset = set(lc.hashes)
-        for rc in rh:
-            shared = lset.intersection(rc.hashes)
-            if lc.name == rc.name:
-                if shared:
-                    tally(consensus, lc.name, lc.id, rc.id)
-                else:
-                    tally(sndh, lc.name, lc.id, rc.id)
-            elif shared:
-                for alg, digest in shared:
+        for rc in by_name.get(lc.name, ()):
+            if lset.isdisjoint(rc.hashes):
+                tally(sndh, lc.name, lc.id, rc.id)
+            else:
+                tally(consensus, lc.name, lc.id, rc.id)
+        # hashes are unique per component, so each (pair, digest) is
+        # tallied once, as a full pairwise scan would
+        for alg, digest in lc.hashes:
+            for rc in by_digest.get((alg, digest), ()):
+                if rc.name != lc.name:
                     tally(dnsh, f"{alg}:{digest}", lc.id, rc.id)
 
     findings = []

@@ -54,6 +54,9 @@ class FuzzyConfig:
             raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
         if not 0.0 <= self.prefix_scale <= 0.25:
             raise ConfigError(f"prefix_scale {self.prefix_scale} outside [0, 0.25]")
+        # bool is an int subclass; the compiled kernel takes a C integer
+        if not isinstance(self.max_prefix, int) or isinstance(self.max_prefix, bool):
+            raise ConfigError(f"max_prefix {self.max_prefix!r} is not an integer")
         if self.max_prefix < 0:
             raise ConfigError(f"max_prefix {self.max_prefix} is negative")
         if self.max_prefix * self.prefix_scale > 1.0:

@@ -10,6 +10,7 @@ order.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -196,10 +197,10 @@ def merge_graphs(
         for kind in _KINDS:
             lkids = left.children(u, kind)
             rkids = right.children(v, kind)
-            rgroups: dict[str, list[str]] = {}
+            rgroups: dict[str, deque[str]] = {}
             for r in rkids:
                 if r not in rmatch:
-                    rgroups.setdefault(rname[r], []).append(r)
+                    rgroups.setdefault(rname[r], deque()).append(r)
             for l in lkids:
                 if l in lmatch:
                     if (l, lmatch[l]) not in visited:
@@ -207,7 +208,7 @@ def merge_graphs(
                     continue
                 bucket = rgroups.get(lname[l])
                 if bucket:
-                    r = bucket.pop(0)
+                    r = bucket.popleft()
                     lmatch[l] = r
                     rmatch[r] = l
                     descend.append((l, r))

@@ -245,6 +245,17 @@ def test_drop_prefix_flag(cdx_file):
     assert invoke("compare", left, right, "--drop-prefix", "npm")[0] == 0
 
 
+@pytest.mark.parametrize("command", ["inspect", "compare"])
+def test_empty_drop_prefix_is_usage_error(pair, command):
+    inputs = pair[:1] if command == "inspect" else pair
+    code, out, err = invoke(command, *inputs, "--drop-prefix", "")
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"bomdiff {command}: error: argument --drop-prefix: must be non-empty"
+    ]
+    assert "Traceback" not in err
+
+
 def test_hbom_round_trip(tmp_path, make_hbom):
     f = tmp_path / "parts.csv"
     f.write_bytes(

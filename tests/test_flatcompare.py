@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import comp, doc_from
 from bomdiff.flatcompare import (
     JAVA_STDLIB_ORG_PREFIXES,
     ConsistencyCategory,
+    ConsistencyFinding,
     FieldSelector,
     cross_field_consistency,
     extract_field,
@@ -219,3 +221,115 @@ def test_consistency_ordering_stable():
         ConsistencyCategory.DIFFERENT_NAME_SAME_HASH,
         ConsistencyCategory.SAME_NAME_DIFFERENT_HASH,
     ]
+
+
+def pairwise_cross_field_consistency(left, right):
+    """Reference: the original all-pairs scan over hashed components."""
+    lh = [c for c in left.components if c.hashes]
+    rh = [c for c in right.components if c.hashes]
+
+    consensus, sndh, dnsh = {}, {}, {}
+
+    def tally(bucket, key, lid, rid):
+        ls, rs, n = bucket.get(key, (set(), set(), 0))
+        ls.add(lid)
+        rs.add(rid)
+        bucket[key] = (ls, rs, n + 1)
+
+    for lc in lh:
+        lset = set(lc.hashes)
+        for rc in rh:
+            shared = lset.intersection(rc.hashes)
+            if lc.name == rc.name:
+                if shared:
+                    tally(consensus, lc.name, lc.id, rc.id)
+                else:
+                    tally(sndh, lc.name, lc.id, rc.id)
+            elif shared:
+                for alg, digest in shared:
+                    tally(dnsh, f"{alg}:{digest}", lc.id, rc.id)
+
+    findings = []
+    for name in sorted(consensus):
+        ls, rs, n = consensus[name]
+        findings.append(
+            ConsistencyFinding(
+                ConsistencyCategory.CONSENSUS,
+                tuple(sorted(ls)),
+                tuple(sorted(rs)),
+                f"name '{name}' agrees on at least one digest ({n} pair(s))",
+            )
+        )
+    for key in sorted(dnsh):
+        ls, rs, n = dnsh[key]
+        findings.append(
+            ConsistencyFinding(
+                ConsistencyCategory.DIFFERENT_NAME_SAME_HASH,
+                tuple(sorted(ls)),
+                tuple(sorted(rs)),
+                f"digest {key} appears under different names ({n} pair(s))",
+            )
+        )
+    for name in sorted(sndh):
+        ls, rs, n = sndh[name]
+        findings.append(
+            ConsistencyFinding(
+                ConsistencyCategory.SAME_NAME_DIFFERENT_HASH,
+                tuple(sorted(ls)),
+                tuple(sorted(rs)),
+                f"name '{name}' has no digest in common ({n} pair(s))",
+            )
+        )
+    return findings
+
+
+# Small pools make same-name groups and shared digests common; the hot digest
+# lands on many components under several names.
+_POOL_NAMES = ("zlib", "tar", "curl", "ssl")
+_POOL_HASHES = tuple((alg, d) for alg in ("SHA256", "MD5") for d in ("aa", "bb", "cc"))
+_HOT = ("SHA256", "ff")
+
+
+def _components(prefix):
+    entry = st.tuples(
+        st.sampled_from(_POOL_NAMES),
+        st.lists(st.sampled_from(_POOL_HASHES), unique=True, max_size=3),
+        st.booleans(),
+    )
+    return st.lists(entry, max_size=12).map(
+        lambda entries: [
+            comp(f"{prefix}{i}", name, hashes=tuple(hs) + ((_HOT,) if hot else ()))
+            for i, (name, hs, hot) in enumerate(entries)
+        ]
+    )
+
+
+@given(_components("l"), _components("r"))
+@settings(max_examples=400)
+def test_indexed_consistency_equals_pairwise(left_comps, right_comps):
+    left, right = _pair(left_comps, right_comps)
+    assert cross_field_consistency(left, right) == pairwise_cross_field_consistency(
+        left, right
+    )
+
+
+def test_indexed_consistency_equals_pairwise_on_seeded_corpus():
+    rng = random.Random(3)
+    names = [f"pkg-{i}" for i in range(90)]
+    digests = [(rng.choice(("SHA256", "SHA1", "MD5")), f"{i:04x}") for i in range(120)]
+    hot = ("SHA256", "hot")
+
+    def side(prefix):
+        out = []
+        for i in range(300):
+            hashes = rng.sample(digests, rng.choice((0, 1, 1, 1, 2, 3)))
+            if rng.random() < 0.08:
+                hashes.append(hot)
+            out.append(comp(f"{prefix}{i:03d}", rng.choice(names), hashes=tuple(hashes)))
+        return out
+
+    left, right = _pair(side("l"), side("r"))
+    findings = cross_field_consistency(left, right)
+    assert findings == pairwise_cross_field_consistency(left, right)
+    assert {f.category for f in findings} == set(ConsistencyCategory)
+    assert any(f.detail.startswith("digest SHA256:hot ") for f in findings)

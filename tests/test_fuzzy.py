@@ -184,6 +184,12 @@ def test_config_validation():
     FuzzyConfig(prefix_scale=0.25, max_prefix=4)  # product exactly 1 is fine
 
 
+@pytest.mark.parametrize("max_prefix", [2.5, 3.0, True, "4"])
+def test_config_rejects_non_integer_max_prefix(max_prefix):
+    with pytest.raises(ConfigError, match="max_prefix"):
+        FuzzyConfig(max_prefix=max_prefix)
+
+
 def test_all_pairs_single_match():
     out = all_pairs_matches({"commons-collections"}, {"commons-collections4"})
     assert len(out) == 1
