@@ -1,15 +1,13 @@
-"""Pure-Python similarity kernels.
+"""Jaro and Jaro-Winkler similarity, and all-pairs scoring.
 
-Behavioral twin of the compiled module ``bomdiff._jaro_cy``; the two must
-return bit-identical results for every input. Keep any change to ``jaro`` or
-``jaro_winkler`` mirrored in the .pyx file.
+This pure-Python module is the only similarity kernel; ``bomdiff.fuzzy`` is
+its public face.
 
-``score_pairs`` here skips every pair whose upper bound on the Jaro-Winkler
-score cannot exceed the threshold (the length and character filter of
-Dressler & Ngonga Ngomo, "On the efficient execution of bounded Jaro-Winkler
+``score_pairs`` skips every pair whose upper bound on the Jaro-Winkler score
+cannot exceed the threshold (the length and character filter of Dressler &
+Ngonga Ngomo, "On the efficient execution of bounded Jaro-Winkler
 distances", Semantic Web 8(2), 2017). The bound is exact, so the returned
-triples are the ones the unpruned all-pairs loop returns. The compiled twin
-still scores every pair and must return the same triples.
+triples are the ones the unpruned all-pairs loop returns.
 """
 
 from __future__ import annotations
@@ -93,19 +91,24 @@ def jaro_winkler(
     return j + prefix * prefix_scale * (1.0 - j)
 
 
-def _char_tokens(s: str) -> set[int]:
-    """One token per (code point, occurrence number) of s.
+def _char_masks(names: list[str], bits: dict) -> list[int]:
+    """One int bitmask per name, one bit per (code point, occurrence number).
 
-    ``len(_char_tokens(a) & _char_tokens(b))`` is the sum over characters c
-    of min(count of c in a, count of c in b): an upper bound on the number of
+    ``bits`` maps each token to its bit and grows as new tokens appear, so
+    masks built with the same dict share bit positions. Then
+    ``(mask_a & mask_b).bit_count()`` is the sum over characters c of
+    min(count of c in a, count of c in b): an upper bound on the number of
     characters Jaro can match between a and b.
     """
-    seen: dict[str, int] = {}
-    out = set()
-    for ch in s:
-        k = seen.get(ch, 0)
-        seen[ch] = k + 1
-        out.add(k * 0x110000 + ord(ch))
+    out = []
+    for s in names:
+        seen: dict[str, int] = {}
+        mask = 0
+        for ch in s:
+            k = seen.get(ch, 0)
+            seen[ch] = k + 1
+            mask |= 1 << bits.setdefault((ch, k), len(bits))
+        out.append(mask)
     return out
 
 
@@ -129,25 +132,26 @@ def score_pairs(
     withholds the bonus. The bound holds because Jaro-Winkler rises with
     Jaro while 0 <= p * prefix_scale <= 1, which ``FuzzyConfig`` enforces;
     for other parameters, or a non-integer max_prefix, every pair is scored.
-    The result is the same list, in the same order, as scoring every pair;
-    the compiled twin does score every pair and returns the same triples.
+    The result is the same list, in the same order, as scoring every pair.
     """
     cap = max_prefix if max_prefix > 0 else 0
     prune = isinstance(max_prefix, int) and 0.0 <= cap * prefix_scale <= 1.0
     cutoff = threshold - _MARGIN
-    right_tokens = [_char_tokens(r) for r in right] if prune else None
+    bits: dict = {}
+    left_masks = _char_masks(left, bits)
+    right_masks = _char_masks(right, bits)
     out = []
     for i in range(len(left)):
         l = left[i]
         n1 = len(l)
-        tokens = _char_tokens(l) if prune else None
+        mask = left_masks[i]
         for j in range(len(right)):
             r = right[j]
             if exclude_exact and l == r:
                 continue
             n2 = len(r)
             if prune and n1 and n2:
-                m = len(tokens & right_tokens[j])
+                m = (mask & right_masks[j]).bit_count()
                 bound = (m / n1 + m / n2 + 1.0) / 3.0 if m else 0.0
                 gap = prefix_scale * (1.0 - bound)
                 # Cheap test with the longest possible prefix first, then

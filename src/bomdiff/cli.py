@@ -261,46 +261,18 @@ def _cmd_graph(args, out) -> int:
     gl = graphcompare.build_graph(left)
     gr = graphcompare.build_graph(right)
     merged = graphcompare.merge_graphs(gl, gr, cfg)
-    stats = graphcompare.match_stats(merged)
 
     rep = report.DiffReport(
         source_names=(left.source_name, right.source_name), graph=merged
     )
     if args.stats:
-        _emit(
-            out,
-            args,
-            f"matched={stats.matched} left_only={stats.left_only} "
-            f"right_only={stats.right_only} fuzzy={stats.fuzzy}\n",
-        )
+        _emit(out, args, report.graph_stats_line(merged) + "\n")
     elif args.format == "dot":
         _emit(out, args, report.to_dot(merged))
     elif args.format == "json":
         _emit(out, args, report.render_json(rep))
     else:
-        name_l = {n.id: n.name for n in gl.nodes}
-        name_r = {n.id: n.name for n in gr.nodes}
-        hints = dict(
-            ((l, r), h) for h, (l, r) in report.classify_differences(merged)
-        )
-        lines = [
-            f"matched={stats.matched} left_only={stats.left_only} "
-            f"right_only={stats.right_only} fuzzy={stats.fuzzy}"
-        ]
-        if merged.left_only:
-            lines.append("left only:")
-            lines.extend(f"  {n}" for n in sorted(name_l[i] for i in merged.left_only))
-        if merged.right_only:
-            lines.append("right only:")
-            lines.extend(f"  {n}" for n in sorted(name_r[i] for i in merged.right_only))
-        if merged.fuzzy_links:
-            lines.append("fuzzy links:")
-            lines.extend(
-                f"  {score:.6f}  {name_l[l]}  ~  {name_r[r]}"
-                f"  [{hints[(l, r)].value}]"
-                for l, r, score in merged.fuzzy_links
-            )
-        _emit(out, args, "\n".join(lines) + "\n")
+        _emit(out, args, report.render_table(rep))
     return 1 if rep.has_differences() else 0
 
 

@@ -1,39 +1,18 @@
 """Name similarity scoring: Jaro, Jaro-Winkler, and all-pairs matching.
 
-The scoring loops live in a compiled extension (``bomdiff._jaro_cy``) with a
-pure-Python twin (``bomdiff._jaro_py``) used when the extension is not built.
-Set ``BOMDIFF_FUZZY_BACKEND=pure`` or ``=compiled`` to force one side; the
-two are kept bit-identical, so the choice only affects speed.
+The scoring loops live in the pure-Python kernel ``bomdiff._jaro_py``; this
+module validates parameters and orders the results.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from bomdiff import _jaro_py
 
-_FORCED = os.environ.get("BOMDIFF_FUZZY_BACKEND", "").strip().lower()
-
-if _FORCED == "pure":
-    _kernel = _jaro_py
-    BACKEND = "pure"
-elif _FORCED == "compiled":
-    from bomdiff import _jaro_cy as _kernel
-
-    BACKEND = "compiled"
-elif _FORCED:
-    raise RuntimeError(
-        f"BOMDIFF_FUZZY_BACKEND={_FORCED!r}: expected 'pure' or 'compiled'"
-    )
-else:
-    try:
-        from bomdiff import _jaro_cy as _kernel
-
-        BACKEND = "compiled"
-    except ImportError:
-        _kernel = _jaro_py
-        BACKEND = "pure"
+# The one similarity kernel. perfbench stamps this into every record and
+# refuses to compare records whose kernels differ.
+BACKEND = "pure"
 
 
 class ConfigError(ValueError):
@@ -54,7 +33,8 @@ class FuzzyConfig:
             raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
         if not 0.0 <= self.prefix_scale <= 0.25:
             raise ConfigError(f"prefix_scale {self.prefix_scale} outside [0, 0.25]")
-        # bool is an int subclass; the compiled kernel takes a C integer
+        # score_pairs prunes only for an integer max_prefix (a float would
+        # make jaro_winkler round the prefix cap up); bool is an int subclass
         if not isinstance(self.max_prefix, int) or isinstance(self.max_prefix, bool):
             raise ConfigError(f"max_prefix {self.max_prefix!r} is not an integer")
         if self.max_prefix < 0:
@@ -74,12 +54,12 @@ class FuzzyMatch:
 
 def jaro(s1: str, s2: str) -> float:
     """Jaro similarity in [0, 1]; symmetric, 1.0 iff equal."""
-    return _kernel.jaro(s1, s2)
+    return _jaro_py.jaro(s1, s2)
 
 
 def jaro_winkler(s1: str, s2: str, cfg: FuzzyConfig = FuzzyConfig()) -> float:
     """Jaro-Winkler similarity in [0, 1] under cfg's prefix parameters."""
-    return _kernel.jaro_winkler(
+    return _jaro_py.jaro_winkler(
         s1, s2, cfg.prefix_scale, cfg.max_prefix, cfg.boost_floor
     )
 
@@ -98,7 +78,7 @@ def all_pairs_matches(
     """
     ls = sorted(left)
     rs = sorted(right)
-    triples = _kernel.score_pairs(
+    triples = _jaro_py.score_pairs(
         ls,
         rs,
         cfg.threshold,

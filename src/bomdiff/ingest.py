@@ -79,11 +79,19 @@ def detect_format(raw: bytes) -> BomFormat:
     raise UnknownFormatError("no known BOM discriminator found")
 
 
-def _load_json(raw) -> dict:
-    if isinstance(raw, (bytes, bytearray)):
-        raw = raw.decode("utf-8")
+def _decode(raw) -> str:
+    if not isinstance(raw, (bytes, bytearray)):
+        return raw
     try:
-        data = json.loads(raw)
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"byte {e.start}: invalid UTF-8") from None
+
+
+def _load_json(raw) -> dict:
+    text = _decode(raw)
+    try:
+        data = json.loads(text)
     except ValueError as e:
         raise ParseError(f"$: invalid JSON: {e}") from None
     if not isinstance(data, dict):
@@ -230,10 +238,15 @@ def parse_cyclonedx(
     for i, dep in enumerate(deps):
         if not isinstance(dep, dict):
             raise ParseError(f"$.dependencies[{i}]: expected an object")
+        targets = dep.get("dependsOn")
+        if targets is None:
+            targets = []
+        elif not isinstance(targets, list):
+            raise ParseError(f"$.dependencies[{i}].dependsOn: expected an array")
         src = dep.get("ref")
         if not isinstance(src, str) or src not in taken:
             continue  # dangling source: unusable, skip
-        for tgt in dep.get("dependsOn", []) or []:
+        for tgt in targets:
             if isinstance(tgt, str) and tgt in taken and tgt != src:
                 edges.add((src, tgt, RelationshipKind.DEPENDS_ON))
 
@@ -458,9 +471,7 @@ _HBOM_COLUMNS = ("ref", "name", "parent", "vendor", "quantity")
 def parse_hbom(
     raw, opts: IngestOptions = IngestOptions(), source_name: str = ""
 ) -> BomDocument:
-    if isinstance(raw, (bytes, bytearray)):
-        raw = raw.decode("utf-8")
-    rows = _hbom_rows(raw)
+    rows = _hbom_rows(_decode(raw))
 
     by_ref: dict[str, Component] = {}
     parent_ref: dict[str, str] = {}

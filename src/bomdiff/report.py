@@ -61,6 +61,20 @@ class DiffReport:
 
 
 def render_table(report: DiffReport) -> str:
+    """Text rendering: the field table, then the merged graph if any.
+
+    Each section appears only when the report carries its data; sections
+    are separated by a blank line.
+    """
+    sections = []
+    if report.field_diffs:
+        sections.append(_field_table(report))
+    if report.graph is not None:
+        sections.append(_graph_text(report.graph))
+    return "\n".join(sections)
+
+
+def _field_table(report: DiffReport) -> str:
     """Fixed-width table: field, both totals, both only-counts.
 
     Each selected field contributes a count row and a unique-value row;
@@ -110,6 +124,43 @@ def render_table(report: DiffReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _node_names(merged: MergedGraph) -> tuple[dict[str, str], dict[str, str]]:
+    """{node id: name} for the left graph and for the right graph."""
+    return (
+        {n.id: n.name for n in merged.left.nodes},
+        {n.id: n.name for n in merged.right.nodes},
+    )
+
+
+def graph_stats_line(merged: MergedGraph) -> str:
+    """The one-line partition summary, without a trailing newline."""
+    stats = match_stats(merged)
+    return (
+        f"matched={stats.matched} left_only={stats.left_only} "
+        f"right_only={stats.right_only} fuzzy={stats.fuzzy}"
+    )
+
+
+def _graph_text(merged: MergedGraph) -> str:
+    """Stats line, sorted one-sided names, then fuzzy links with hints."""
+    name_l, name_r = _node_names(merged)
+    hints = {(l, r): hint for hint, (l, r) in classify_differences(merged)}
+    lines = [graph_stats_line(merged)]
+    if merged.left_only:
+        lines.append("left only:")
+        lines.extend(f"  {n}" for n in sorted(name_l[i] for i in merged.left_only))
+    if merged.right_only:
+        lines.append("right only:")
+        lines.extend(f"  {n}" for n in sorted(name_r[i] for i in merged.right_only))
+    if merged.fuzzy_links:
+        lines.append("fuzzy links:")
+        lines.extend(
+            f"  {score:.6f}  {name_l[l]}  ~  {name_r[r]}  [{hints[(l, r)].value}]"
+            for l, r, score in merged.fuzzy_links
+        )
+    return "\n".join(lines) + "\n"
+
+
 def _diff_dict(diff: MultisetDiff) -> dict:
     return {
         "left_total": diff.left_total,
@@ -126,11 +177,8 @@ def _diff_dict(diff: MultisetDiff) -> dict:
 
 def _graph_dict(merged: MergedGraph) -> dict:
     stats = match_stats(merged)
-    name_l = {n.id: n.name for n in merged.left.nodes}
-    name_r = {n.id: n.name for n in merged.right.nodes}
-    hints = {
-        (l, r): hint for hint, (l, r) in classify_differences(merged)
-    }
+    name_l, name_r = _node_names(merged)
+    hints = {(l, r): hint for hint, (l, r) in classify_differences(merged)}
     return {
         "stats": {
             "matched": stats.matched,
@@ -208,8 +256,7 @@ def to_dot(merged: MergedGraph, style: DotStyle = DotStyle()) -> str:
     side's color; fuzzy links render as thick yellow dir=none edges on top
     of the solid structural edges.
     """
-    name_l = {n.id: n.name for n in merged.left.nodes}
-    name_r = {n.id: n.name for n in merged.right.nodes}
+    name_l, name_r = _node_names(merged)
 
     ids: dict[tuple[str, str], str] = {}
     lines = ["digraph merged {", "  node [shape=box, style=filled];"]
@@ -286,8 +333,7 @@ def classify_differences(
     like transcription slips; everything else is treated as a substituted
     part.
     """
-    name_l = {n.id: n.name for n in merged.left.nodes}
-    name_r = {n.id: n.name for n in merged.right.nodes}
+    name_l, name_r = _node_names(merged)
     out = []
     for l, r, _score in merged.fuzzy_links:
         a, b = name_l[l], name_r[r]

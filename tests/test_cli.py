@@ -223,6 +223,23 @@ def test_malformed_input_is_parse_error(tmp_path, pair):
     assert "name" in err
 
 
+@pytest.mark.parametrize(
+    "hint, raw, offset",
+    [
+        ("cyclonedx-json", b"\xff\xfe{}", 0),
+        ("spdx-json", b"\xff\xfe{}", 0),
+        ("generic-hbom", b"\xff\xfe{}", 0),
+        (None, b"ref,name\nx,\xff\n", 11),  # detected as HBOM CSV
+    ],
+)
+def test_non_utf8_input_is_parse_error(tmp_path, hint, raw, offset):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(raw)
+    hint_args = ("--format-in", hint) if hint else ()
+    code, out, err = invoke("inspect", *hint_args, str(bad))
+    assert (code, out, err) == (3, "", f"error: byte {offset}: invalid UTF-8\n")
+
+
 def test_format_in_override_mismatch(tmp_path, make_spdx, pair):
     left, _ = pair
     spdx = tmp_path / "doc.spdx.json"

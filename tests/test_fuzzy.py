@@ -16,14 +16,9 @@ from bomdiff.fuzzy import (
     jaro_winkler,
 )
 
-try:
-    from bomdiff import _jaro_cy
-except ImportError:
-    _jaro_cy = None
-
 
 # Independent reference: index-set formulation instead of flag arrays.
-# Kept deliberately different in structure from the shipped kernels.
+# Kept deliberately different in structure from the shipped kernel.
 def ref_jaro(s1, s2):
     if not s1 and not s2:
         return 1.0
@@ -149,24 +144,10 @@ def test_boost_floor_gates_the_bonus(s1, s2, floor):
         assert jw == jaro_winkler(s1, s2)
 
 
-@pytest.mark.skipif(_jaro_cy is None, reason="compiled backend not built")
-@given(
-    names,
-    names,
-    st.sampled_from([0.0, 0.1, 0.25]),
-    st.sampled_from([0, 1, 4]),
-    st.sampled_from([0.0, 0.7]),
-)
-@settings(max_examples=500)
-def test_backends_bit_identical(s1, s2, scale, max_prefix, floor):
-    assert _jaro_cy.jaro(s1, s2) == _jaro_py.jaro(s1, s2)
-    assert _jaro_cy.jaro_winkler(s1, s2, scale, max_prefix, floor) == _jaro_py.jaro_winkler(
-        s1, s2, scale, max_prefix, floor
-    )
-
-
 def test_backend_is_reportable():
-    assert BACKEND in ("compiled", "pure")
+    # perfbench/run.py stamps fuzzy.BACKEND into every record and
+    # perfbench/compare.py refuses records whose backend differs.
+    assert BACKEND == "pure"
 
 
 def test_config_validation():

@@ -107,6 +107,17 @@ def test_cyclonedx_dangling_dependency_refs_dropped(make_cdx):
     assert parse_cyclonedx(raw).relationships == ()
 
 
+@pytest.mark.parametrize("targets", ["b", {"b": 1}, ""])
+def test_cyclonedx_depends_on_must_be_an_array(make_cdx, targets):
+    # A string used to be iterated per character, so "b" gave the edge a -> b.
+    raw = make_cdx(
+        [{"bom-ref": "a", "name": "a"}, {"bom-ref": "b", "name": "b"}],
+        dependencies=[{"ref": "b"}, {"ref": "a", "dependsOn": targets}],
+    )
+    with pytest.raises(ParseError, match=r"^\$\.dependencies\[1\]\.dependsOn: expected an array$"):
+        parse_cyclonedx(raw)
+
+
 def test_cyclonedx_missing_name_reports_path(make_cdx):
     with pytest.raises(ParseError, match=r"\$\.components\[1\]\.name"):
         parse_cyclonedx(make_cdx([{"name": "ok"}, {"purl": "pkg:pypi/x@1"}]))

@@ -133,6 +133,20 @@ def _merged():
     return merge_graphs(build_graph(left), build_graph(right))
 
 
+def test_table_renders_graph_after_field_table():
+    m = _merged()
+    graph_text = (
+        "matched=2 left_only=2 right_only=2 fuzzy=1\n"
+        "left only:\n  leftish\n  sensor-mk1\n"
+        "right only:\n  rightish\n  sensor-mk2\n"
+        "fuzzy links:\n  0.960000  sensor-mk1  ~  sensor-mk2  [likely-transcription]\n"
+    )
+    assert render_table(DiffReport(source_names=("l", "r"), graph=m)) == graph_text
+    fields = _report()
+    both = DiffReport(source_names=fields.source_names, field_diffs=fields.field_diffs, graph=m)
+    assert render_table(both) == render_table(fields) + "\n" + graph_text
+
+
 def test_dot_node_counts_match_partition():
     m = _merged()
     s = match_stats(m)
