@@ -233,25 +233,7 @@ def _cmd_compare(args, out) -> int:
     if args.format == "json":
         _emit(out, args, report.render_json(rep))
     else:
-        text = report.render_table(rep)
-        if rep.fuzzy:
-            text += "\nfuzzy matches:\n"
-            for m in rep.fuzzy:
-                text += f"  {m.score:.6f}  {m.left}  ~  {m.right}\n"
-        if rep.findings:
-            text += "\nconsistency findings:\n"
-            for f in rep.findings:
-                text += (
-                    f"  [{f.category.value}] {f.detail}"
-                    f" (left: {', '.join(f.left_ids)}; right: {', '.join(f.right_ids)})\n"
-                )
-        if rep.hash_coverage is not None:
-            (lh, ln), (rh, rn) = rep.hash_coverage
-            text += (
-                f"\nhash coverage: left {lh}/{lh + ln} components,"
-                f" right {rh}/{rh + rn} components\n"
-            )
-        _emit(out, args, text)
+        _emit(out, args, report.render_table(rep))
     return 1 if rep.has_differences() else 0
 
 

@@ -1,5 +1,15 @@
 """Readers for CycloneDX JSON, SPDX JSON, and generic HBOM tables.
 
+Input bytes take one read path. ``_decode`` turns them into text, the
+module's only UTF-8 decode: a leading byte-order mark is dropped and
+undecodable bytes are a ``ParseError`` naming the byte offset. ``_loads``
+turns that text into a JSON value, the module's only JSON decode: text too
+deeply nested for the decoder is a ``ParseError``, and text that is not JSON
+comes back as ``_Text`` for the CSV table reader. ``parse_document`` decodes
+once, lets ``detect_format`` look at the decoded value, and hands the same
+value to the parser it picks; with a format hint the parser decodes the
+bytes itself.
+
 Every reader ends in the same normalization pipeline: optional name/ecosystem
 filtering, duplicate collapsing, then canonical ordering, so downstream
 comparison code never sees source-order artifacts.
@@ -51,52 +61,77 @@ class IngestOptions:
                 raise ValueError("drop_name_prefixes entries must be non-empty")
 
 
-def detect_format(raw: bytes) -> BomFormat:
+# ------------------------------------------------------------ read path
+
+
+@dataclass(frozen=True)
+class _Text:
+    """Decoded input that is not JSON, with the decoder's complaint."""
+
+    text: str
+    error: str = ""
+
+
+def _decode(raw: bytes) -> str:
+    """Bytes to text, dropping one leading UTF-8 byte-order mark."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"byte {e.start}: invalid UTF-8") from None
+    return text[1:] if text.startswith("\ufeff") else text
+
+
+def _loads(text: str) -> object:
+    """Text to its JSON value, or to ``_Text`` when it is not JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ParseError("$: JSON nested too deeply to decode") from None
+    except ValueError as e:
+        return _Text(text, f"invalid JSON: {e}")
+
+
+def _read(raw) -> object:
+    """The decoded value of raw bytes; a decoded value passes through."""
+    if isinstance(raw, (bytes, bytearray)):
+        return _loads(_decode(raw))
+    return raw
+
+
+def _json_object(value) -> dict:
+    """The top-level JSON object of raw bytes or of a decoded value."""
+    value = _read(value)
+    if isinstance(value, _Text):
+        raise ParseError(f"$: {value.error}")
+    if not isinstance(value, dict):
+        raise ParseError("$: expected a JSON object")
+    return value
+
+
+def detect_format(raw) -> BomFormat:
     """Sniff the input format from its discriminator fields.
 
     CycloneDX by bomFormat, SPDX by spdxVersion, HBOM for JSON carrying a
     top-level "hbom" array or for a CSV whose header has ref and name
-    columns.
+    columns. Takes raw bytes or the value ``_read`` made of them.
     """
-    if not raw.strip():
-        raise UnknownFormatError("empty input")
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        first = raw.lstrip()[:4096].decode("utf-8", "replace").splitlines()
-        if first:
-            header = [c.strip().lower() for c in first[0].split(",")]
-            if "ref" in header and "name" in header:
-                return BomFormat.GENERIC_HBOM
+    value = _read(raw)
+    if isinstance(value, _Text):
+        if not value.text.strip():
+            raise UnknownFormatError("empty input")
+        first = value.text.lstrip()[:4096].splitlines()
+        header = [c.strip().lower() for c in first[0].split(",")]
+        if "ref" in header and "name" in header:
+            return BomFormat.GENERIC_HBOM
         raise UnknownFormatError("input is neither JSON nor a ref/name CSV table")
-    if isinstance(data, dict):
-        if data.get("bomFormat") == "CycloneDX":
+    if isinstance(value, dict):
+        if value.get("bomFormat") == "CycloneDX":
             return BomFormat.CYCLONEDX_JSON
-        if "spdxVersion" in data:
+        if "spdxVersion" in value:
             return BomFormat.SPDX_JSON
-        if "hbom" in data:
+        if "hbom" in value:
             return BomFormat.GENERIC_HBOM
     raise UnknownFormatError("no known BOM discriminator found")
-
-
-def _decode(raw) -> str:
-    if not isinstance(raw, (bytes, bytearray)):
-        return raw
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"byte {e.start}: invalid UTF-8") from None
-
-
-def _load_json(raw) -> dict:
-    text = _decode(raw)
-    try:
-        data = json.loads(text)
-    except ValueError as e:
-        raise ParseError(f"$: invalid JSON: {e}") from None
-    if not isinstance(data, dict):
-        raise ParseError("$: expected a JSON object")
-    return data
 
 
 def _require(entry: dict, key: str, path: str) -> object:
@@ -112,6 +147,16 @@ def _opt_str(entry: dict, key: str, path: str):
         return None
     if not isinstance(value, str):
         raise ParseError(f"{path}.{key}: expected a string")
+    return value
+
+
+def _opt_list(entry: dict, key: str, path: str) -> list:
+    """An optional array: missing or null reads as empty."""
+    value = entry.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ParseError(f"{path}.{key}: expected an array")
     return value
 
 
@@ -133,7 +178,7 @@ def _purl_type(purl: str):
 def parse_cyclonedx(
     raw, opts: IngestOptions = IngestOptions(), source_name: str = ""
 ) -> BomDocument:
-    data = _load_json(raw)
+    data = _json_object(raw)
     if data.get("bomFormat") != "CycloneDX":
         raise ParseError("$.bomFormat: expected 'CycloneDX'")
     spec_version = str(data.get("specVersion", ""))
@@ -211,7 +256,7 @@ def parse_cyclonedx(
 
     for i in sorted((i for i in range(len(entries)) if ids[i] is None), key=content_key):
         e = entries[i]
-        base = e.get("purl") or (
+        base = _opt_str(e, "purl", paths[i]) or (
             f"{e.get('name', '')}@{e.get('version')}"
             if e.get("version")
             else str(e.get("name", ""))
@@ -238,11 +283,7 @@ def parse_cyclonedx(
     for i, dep in enumerate(deps):
         if not isinstance(dep, dict):
             raise ParseError(f"$.dependencies[{i}]: expected an object")
-        targets = dep.get("dependsOn")
-        if targets is None:
-            targets = []
-        elif not isinstance(targets, list):
-            raise ParseError(f"$.dependencies[{i}].dependsOn: expected an array")
+        targets = _opt_list(dep, "dependsOn", f"$.dependencies[{i}]")
         src = dep.get("ref")
         if not isinstance(src, str) or src not in taken:
             continue  # dangling source: unusable, skip
@@ -279,7 +320,7 @@ def _cdx_component(entry: dict, cid: str, path: str) -> Component:
         vendor = _opt_str(supplier, "name", f"{path}.supplier")
 
     licenses = []
-    for j, lic in enumerate(entry.get("licenses", []) or []):
+    for j, lic in enumerate(_opt_list(entry, "licenses", path)):
         lpath = f"{path}.licenses[{j}]"
         if not isinstance(lic, dict):
             raise ParseError(f"{lpath}: expected an object")
@@ -291,7 +332,7 @@ def _cdx_component(entry: dict, cid: str, path: str) -> Component:
             licenses.append(value)
 
     hashes = []
-    for j, h in enumerate(entry.get("hashes", []) or []):
+    for j, h in enumerate(_opt_list(entry, "hashes", path)):
         hpath = f"{path}.hashes[{j}]"
         if not isinstance(h, dict):
             raise ParseError(f"{hpath}: expected an object")
@@ -326,7 +367,7 @@ def _cdx_component(entry: dict, cid: str, path: str) -> Component:
 def parse_spdx(
     raw, opts: IngestOptions = IngestOptions(), source_name: str = ""
 ) -> BomDocument:
-    data = _load_json(raw)
+    data = _json_object(raw)
     if "spdxVersion" not in data:
         raise ParseError("$.spdxVersion: required field missing")
     spec_version = str(data["spdxVersion"])
@@ -352,13 +393,13 @@ def parse_spdx(
     edges = set()
     subject_id = None
     rel_extra: dict[str, dict[str, list[str]]] = {}
-    for i, rel in enumerate(data.get("relationships", []) or []):
+    for i, rel in enumerate(_opt_list(data, "relationships", "$")):
         path = f"$.relationships[{i}]"
         if not isinstance(rel, dict):
             raise ParseError(f"{path}: expected an object")
         rtype = str(_require(rel, "relationshipType", path))
-        a = rel.get("spdxElementId")
-        b = rel.get("relatedSpdxElement")
+        a = _opt_str(rel, "spdxElementId", path)
+        b = _opt_str(rel, "relatedSpdxElement", path)
         if rtype == "DESCRIBES":
             if subject_id is None and b in parsed:
                 subject_id = b
@@ -375,7 +416,9 @@ def parse_spdx(
     if subject_id is None:
         described = data.get("documentDescribes")
         if isinstance(described, list):
-            for sid in described:
+            for j, sid in enumerate(described):
+                if not isinstance(sid, str):
+                    raise ParseError(f"$.documentDescribes[{j}]: expected a string")
                 if sid in parsed:
                     subject_id = sid
                     break
@@ -408,7 +451,7 @@ def _spdx_fields(pkg: dict, path: str) -> dict:
         raise ParseError(f"{path}.name: expected a string")
 
     purl = cpe = None
-    for j, ref in enumerate(pkg.get("externalRefs", []) or []):
+    for j, ref in enumerate(_opt_list(pkg, "externalRefs", path)):
         rpath = f"{path}.externalRefs[{j}]"
         if not isinstance(ref, dict):
             raise ParseError(f"{rpath}: expected an object")
@@ -440,7 +483,7 @@ def _spdx_fields(pkg: dict, path: str) -> dict:
                 licenses.append(value)
 
     hashes = []
-    for j, ck in enumerate(pkg.get("checksums", []) or []):
+    for j, ck in enumerate(_opt_list(pkg, "checksums", path)):
         cpath = f"{path}.checksums[{j}]"
         if not isinstance(ck, dict):
             raise ParseError(f"{cpath}: expected an object")
@@ -471,14 +514,14 @@ _HBOM_COLUMNS = ("ref", "name", "parent", "vendor", "quantity")
 def parse_hbom(
     raw, opts: IngestOptions = IngestOptions(), source_name: str = ""
 ) -> BomDocument:
-    rows = _hbom_rows(_decode(raw))
+    rows = _hbom_rows(raw)
 
     by_ref: dict[str, Component] = {}
     parent_ref: dict[str, str] = {}
     row_no: dict[str, int] = {}
     for n, row in rows:
-        ref = (row.get("ref") or "").strip()
-        name = (row.get("name") or "").strip()
+        ref = _cell(row, "ref", n)
+        name = _cell(row, "name", n)
         if not ref:
             raise ParseError(f"row {n}: ref must be non-empty")
         if ref in by_ref:
@@ -497,7 +540,7 @@ def parse_hbom(
         else:
             quantity = 1
 
-        parent = (row.get("parent") or "").strip()
+        parent = _cell(row, "parent", n)
         if parent == ref:
             raise ParseError(f"row {n}: component cannot be its own parent")
         if parent:
@@ -511,7 +554,7 @@ def parse_hbom(
         by_ref[ref] = Component(
             id=ref,
             name=name,
-            vendor=(row.get("vendor") or "").strip() or None,
+            vendor=_cell(row, "vendor", n) or None,
             quantity=quantity,
             extra=extra,
         )
@@ -544,11 +587,23 @@ def parse_hbom(
     return _finish(doc, opts)
 
 
-def _hbom_rows(text: str) -> list[tuple[int, dict]]:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        data = _load_json(text)
-        items = data.get("hbom")
+def _cell(row: dict, key: str, n: int) -> str:
+    """An HBOM cell as stripped text; missing or null reads as empty."""
+    value = row.get(key)
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        raise ParseError(f"row {n}: {key} must be a string")
+    return value.strip()
+
+
+def _hbom_rows(raw) -> list[tuple[int, dict]]:
+    if isinstance(raw, (bytes, bytearray)):
+        # Undetected bytes: a leading "{" marks the JSON layout.
+        text = _decode(raw)
+        raw = _json_object(_loads(text)) if text.lstrip().startswith("{") else _Text(text)
+    if not isinstance(raw, _Text):
+        items = _json_object(raw).get("hbom")
         if not isinstance(items, list):
             raise ParseError("$.hbom: expected an array")
         out = []
@@ -558,7 +613,7 @@ def _hbom_rows(text: str) -> list[tuple[int, dict]]:
             out.append((i + 1, {str(k): item[k] for k in item}))
         return out
 
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(io.StringIO(raw.text))
     if reader.fieldnames is None:
         raise ParseError("row 1: missing CSV header")
     header = [h.strip() for h in reader.fieldnames]
@@ -707,8 +762,10 @@ def parse_document(
     source_name: str = "",
     format_hint: BomFormat | None = None,
 ) -> BomDocument:
-    fmt = format_hint or detect_format(raw)
-    return _PARSERS[fmt](raw, opts, source_name)
+    if format_hint is not None:
+        return _PARSERS[format_hint](raw, opts, source_name)
+    value = _read(raw)
+    return _PARSERS[detect_format(value)](value, opts, source_name)
 
 
 def load_document(

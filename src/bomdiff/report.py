@@ -61,7 +61,8 @@ class DiffReport:
 
 
 def render_table(report: DiffReport) -> str:
-    """Text rendering: the field table, then the merged graph if any.
+    """Text rendering: the field table, fuzzy matches, the merged graph,
+    consistency findings, then hash coverage.
 
     Each section appears only when the report carries its data; sections
     are separated by a blank line.
@@ -69,8 +70,28 @@ def render_table(report: DiffReport) -> str:
     sections = []
     if report.field_diffs:
         sections.append(_field_table(report))
+    if report.fuzzy:
+        sections.append(
+            "fuzzy matches:\n"
+            + "".join(f"  {m.score:.6f}  {m.left}  ~  {m.right}\n" for m in report.fuzzy)
+        )
     if report.graph is not None:
         sections.append(_graph_text(report.graph))
+    if report.findings:
+        sections.append(
+            "consistency findings:\n"
+            + "".join(
+                f"  [{f.category.value}] {f.detail}"
+                f" (left: {', '.join(f.left_ids)}; right: {', '.join(f.right_ids)})\n"
+                for f in report.findings
+            )
+        )
+    if report.hash_coverage is not None:
+        (lh, ln), (rh, rn) = report.hash_coverage
+        sections.append(
+            f"hash coverage: left {lh}/{lh + ln} components,"
+            f" right {rh}/{rh + rn} components\n"
+        )
     return "\n".join(sections)
 
 

@@ -230,6 +230,7 @@ def test_malformed_input_is_parse_error(tmp_path, pair):
         ("spdx-json", b"\xff\xfe{}", 0),
         ("generic-hbom", b"\xff\xfe{}", 0),
         (None, b"ref,name\nx,\xff\n", 11),  # detected as HBOM CSV
+        (None, b"\xff\xfe{}", 0),  # detection decodes strictly too
     ],
 )
 def test_non_utf8_input_is_parse_error(tmp_path, hint, raw, offset):
@@ -238,6 +239,85 @@ def test_non_utf8_input_is_parse_error(tmp_path, hint, raw, offset):
     hint_args = ("--format-in", hint) if hint else ()
     code, out, err = invoke("inspect", *hint_args, str(bad))
     assert (code, out, err) == (3, "", f"error: byte {offset}: invalid UTF-8\n")
+
+
+@pytest.mark.parametrize(
+    "hint, fixture",
+    [("cyclonedx-json", "make_cdx"), ("spdx-json", "make_spdx"), ("generic-hbom", "make_hbom")],
+)
+def test_utf8_byte_order_mark_is_ignored(request, tmp_path, hint, fixture):
+    make = request.getfixturevalue(fixture)
+    rows = {
+        "make_cdx": [{"bom-ref": "a", "name": "zlib"}, {"bom-ref": "b", "name": "curl"}],
+        "make_spdx": [{"SPDXID": "SPDXRef-a", "name": "zlib"}, {"SPDXID": "SPDXRef-b", "name": "curl"}],
+        "make_hbom": [{"ref": "a", "name": "board"}, {"ref": "b", "name": "cap", "parent": "a"}],
+    }[fixture]
+    f = tmp_path / "doc"
+    for hint_args in ((), ("--format-in", hint)):
+        f.write_bytes(make(rows))
+        plain = invoke("inspect", *hint_args, str(f))
+        assert plain[0] == 0 and f"format: {hint}" in plain[1]
+        f.write_bytes(b"\xef\xbb\xbf" + make(rows))
+        assert invoke("inspect", *hint_args, str(f)) == plain
+
+
+@pytest.mark.parametrize("hint", [None, "cyclonedx-json"])
+def test_deep_nesting_is_parse_error(tmp_path, hint):
+    depth = 3000
+    raw = (
+        '{"bomFormat": "CycloneDX", "specVersion": "1.5", "components": ['
+        + '{"name": "c", "components": [' * depth
+        + '{"name": "leaf"}'
+        + "]}" * depth
+        + "]}"
+    )
+    f = tmp_path / "deep.json"
+    f.write_text(raw)
+    hint_args = ("--format-in", hint) if hint else ()
+    code, out, err = invoke("inspect", *hint_args, str(f))
+    assert (code, out) == (3, "")
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "error: $: JSON nested too deeply to decode"
+    ]
+    assert "Traceback" not in err
+
+
+_CDX = {"bomFormat": "CycloneDX", "specVersion": "1.5"}
+_SPDX = {"spdxVersion": "SPDX-2.3"}
+_SPDX_PKG = {"SPDXID": "SPDXRef-a", "name": "a"}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({**_CDX, "components": [{"name": "a", "licenses": 5}]},
+         "$.components[0].licenses: expected an array"),
+        ({**_CDX, "components": [{"name": "a", "hashes": 5}]},
+         "$.components[0].hashes: expected an array"),
+        ({**_CDX, "components": [{"name": "a", "purl": {"type": "npm"}}]},
+         "$.components[0].purl: expected a string"),
+        ({**_SPDX, "packages": [_SPDX_PKG], "relationships": 5},
+         "$.relationships: expected an array"),
+        ({**_SPDX, "packages": [_SPDX_PKG], "relationships": [
+            {"spdxElementId": {"id": 1}, "relatedSpdxElement": "SPDXRef-a",
+             "relationshipType": "DEPENDS_ON"}]},
+         "$.relationships[0].spdxElementId: expected a string"),
+        ({**_SPDX, "packages": [_SPDX_PKG], "documentDescribes": [{"id": 1}]},
+         "$.documentDescribes[0]: expected a string"),
+        ({**_SPDX, "packages": [{**_SPDX_PKG, "externalRefs": 5}]},
+         "$.packages[0].externalRefs: expected an array"),
+        ({**_SPDX, "packages": [{**_SPDX_PKG, "checksums": 5}]},
+         "$.packages[0].checksums: expected an array"),
+        ({"hbom": [{"ref": 5, "name": "a"}]}, "row 1: ref must be a string"),
+        ({"hbom": [{"ref": "a", "name": 5}]}, "row 1: name must be a string"),
+        ({"hbom": [{"ref": "a", "name": "a", "parent": 5}]}, "row 1: parent must be a string"),
+        ({"hbom": [{"ref": "a", "name": "a", "vendor": 5}]}, "row 1: vendor must be a string"),
+    ],
+)
+def test_malformed_field_type_is_parse_error(tmp_path, doc, message):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    assert invoke("inspect", str(f)) == (3, "", f"error: {message}\n")
 
 
 def test_format_in_override_mismatch(tmp_path, make_spdx, pair):

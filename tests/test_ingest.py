@@ -33,6 +33,23 @@ def test_detect_format_discriminators(make_cdx, make_spdx, make_hbom):
         detect_format(b"   ")
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        json.dumps({"bomFormat": "CycloneDX", "components": [{"name": "a"}]}).encode(),
+        json.dumps({"spdxVersion": "SPDX-2.3", "packages": [{"SPDXID": "SPDXRef-a", "name": "a"}]}).encode(),
+        json.dumps({"hbom": [{"ref": "a", "name": "a"}]}).encode(),
+    ],
+    ids=["cyclonedx", "spdx", "hbom"],
+)
+def test_parse_document_decodes_json_once(monkeypatch, raw):
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **kw: calls.append(a) or loads(*a, **kw))
+    assert len(parse_document(raw).components) == 1
+    assert len(calls) == 1
+
+
 def test_cyclonedx_minimal(make_cdx):
     doc = parse_document(
         make_cdx([{"name": "a", "purl": "pkg:maven/g/a@1"}], dependencies=[])

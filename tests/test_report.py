@@ -3,7 +3,15 @@ import re
 from collections import Counter
 
 from conftest import DEP, comp, doc_from
-from bomdiff.flatcompare import FieldSelector, cross_field_consistency, hash_coverage, multiset_diff
+from bomdiff.flatcompare import (
+    ConsistencyCategory,
+    ConsistencyFinding,
+    FieldSelector,
+    cross_field_consistency,
+    hash_coverage,
+    multiset_diff,
+)
+from bomdiff.fuzzy import FuzzyMatch
 from bomdiff.graphcompare import build_graph, match_stats, merge_graphs
 from bomdiff.report import (
     SCHEMA_VERSION,
@@ -142,9 +150,32 @@ def test_table_renders_graph_after_field_table():
         "fuzzy links:\n  0.960000  sensor-mk1  ~  sensor-mk2  [likely-transcription]\n"
     )
     assert render_table(DiffReport(source_names=("l", "r"), graph=m)) == graph_text
-    fields = _report()
+    full = _report()
+    fields = DiffReport(source_names=full.source_names, field_diffs=full.field_diffs)
     both = DiffReport(source_names=fields.source_names, field_diffs=fields.field_diffs, graph=m)
     assert render_table(both) == render_table(fields) + "\n" + graph_text
+
+
+def test_table_renders_compare_sections_after_field_table():
+    fields = _report()
+    rpt = DiffReport(
+        source_names=fields.source_names,
+        field_diffs=fields.field_diffs,
+        fuzzy=(FuzzyMatch("curl", "wget", 0.5),),
+        findings=(
+            ConsistencyFinding(
+                ConsistencyCategory.SAME_NAME_DIFFERENT_HASH, ("a",), ("c", "d"), "name 'zlib'"
+            ),
+        ),
+        hash_coverage=((1, 1), (2, 0)),
+    )
+    table = render_table(DiffReport(source_names=fields.source_names, field_diffs=fields.field_diffs))
+    assert render_table(rpt) == table + (
+        "\nfuzzy matches:\n  0.500000  curl  ~  wget\n"
+        "\nconsistency findings:\n"
+        "  [same-name-different-hash] name 'zlib' (left: a; right: c, d)\n"
+        "\nhash coverage: left 1/2 components, right 2/2 components\n"
+    )
 
 
 def test_dot_node_counts_match_partition():
