@@ -18,15 +18,8 @@ from bomdiff import flatcompare, fuzzy, graphcompare, ingest, report
 from bomdiff.flatcompare import FieldSelector
 from bomdiff.model import BomFormat
 
-_FIELD_CHOICES = {
-    "name": FieldSelector.NAME,
-    "purl": FieldSelector.PURL,
-    "vendor": FieldSelector.VENDOR,
-    "license": FieldSelector.LICENSE,
-    "hash": FieldSelector.HASH_DIGEST,
-    "org": FieldSelector.ORGANIZATION,
-}
-_DEFAULT_FIELDS = ("name", "purl", "vendor", "license", "hash", "org")
+_FIELD_CHOICES = {s.value: s for s in FieldSelector if s is not FieldSelector.CPE}
+_DEFAULT_FIELDS = tuple(_FIELD_CHOICES)
 
 _FORMAT_CHOICES = {f.value: f for f in BomFormat}
 
@@ -35,8 +28,8 @@ PARSE_ERROR = 3
 
 
 def _prefix(value: str) -> str:
-    # IngestOptions refuses an empty prefix (it would drop everything);
-    # refusing it here makes it a usage error instead of a traceback
+    # an empty prefix would match everything: IngestOptions refuses it for
+    # --drop-prefix, and --exclude would exclude every organization
     if not value:
         raise argparse.ArgumentTypeError("must be non-empty")
     return value
@@ -113,6 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--exclude",
         action="append",
         default=None,
+        type=_prefix,
         metavar="PREFIX",
         help="exclude organizations starting with PREFIX "
         "(repeatable; default: the Java standard library namespaces)",
@@ -171,46 +165,25 @@ def _cmd_inspect(args, out) -> int:
     opts = _ingest_options(args)
     hint = _FORMAT_CHOICES[args.format_in] if args.format_in else None
     doc = ingest.load_document(args.file, opts, hint)
-    lines = [
-        f"source: {doc.source_name}",
-        f"format: {doc.format.value}" + (f" {doc.spec_version}" if doc.spec_version else ""),
-        f"components: {len(doc.components)}",
-        f"relationships: {len(doc.relationships)}",
-        f"subject: {doc.subject if doc.subject is not None else '(none)'}",
-    ]
-    plural = {
-        FieldSelector.NAME: "names",
-        FieldSelector.PURL: "purls",
-        FieldSelector.CPE: "cpes",
-        FieldSelector.VENDOR: "vendors",
-        FieldSelector.LICENSE: "licenses",
-        FieldSelector.HASH_DIGEST: "hashes",
-        FieldSelector.ORGANIZATION: "organizations",
-    }
-    for sel in FieldSelector:
-        values = flatcompare.extract_field(doc, sel)
-        lines.append(f"unique {plural[sel]}: {len(values)}")
-    _emit(out, args, "\n".join(lines) + "\n")
+    _emit(out, args, report.render_summary(doc))
     return 0
 
 
 def _compare_report(args, left, right) -> report.DiffReport:
     fields = [_FIELD_CHOICES[f] for f in (args.field or _DEFAULT_FIELDS)]
+    # each (side, field) is extracted once; --fuzzy reuses the name counters
+    wanted = dict.fromkeys(fields + ([FieldSelector.NAME] if args.fuzzy else []))
+    lvals = {sel: flatcompare.extract_field(left, sel) for sel in wanted}
+    rvals = {sel: flatcompare.extract_field(right, sel) for sel in wanted}
     diff_fn = flatcompare.multiset_diff if args.mode == "list" else flatcompare.set_diff
-    field_diffs = {
-        sel: diff_fn(
-            flatcompare.extract_field(left, sel),
-            flatcompare.extract_field(right, sel),
-        )
-        for sel in fields
-    }
+    field_diffs = {sel: diff_fn(lvals[sel], rvals[sel]) for sel in fields}
     matches = ()
     if args.fuzzy:
         cfg = fuzzy.FuzzyConfig(threshold=_threshold(args))
         matches = tuple(
             fuzzy.all_pairs_matches(
-                set(flatcompare.extract_field(left, FieldSelector.NAME)),
-                set(flatcompare.extract_field(right, FieldSelector.NAME)),
+                set(lvals[FieldSelector.NAME]),
+                set(rvals[FieldSelector.NAME]),
                 cfg,
                 exclude_exact=args.exclude_exact,
             )
@@ -221,8 +194,8 @@ def _compare_report(args, left, right) -> report.DiffReport:
         fuzzy=matches,
         findings=tuple(flatcompare.cross_field_consistency(left, right)),
         hash_coverage=(
-            flatcompare.hash_coverage(left),
-            flatcompare.hash_coverage(right),
+            flatcompare.field_coverage(left, FieldSelector.HASH_DIGEST),
+            flatcompare.field_coverage(right, FieldSelector.HASH_DIGEST),
         ),
     )
 
@@ -248,7 +221,7 @@ def _cmd_graph(args, out) -> int:
         source_names=(left.source_name, right.source_name), graph=merged
     )
     if args.stats:
-        _emit(out, args, report.graph_stats_line(merged) + "\n")
+        _emit(out, args, report.graph_stats_line(merged))
     elif args.format == "dot":
         _emit(out, args, report.to_dot(merged))
     elif args.format == "json":
@@ -265,17 +238,15 @@ def _cmd_orgs(args, out) -> int:
     )
     if args.exclude:
         excludes.extend(args.exclude)
-    diff = flatcompare.organization_delta(left, right, tuple(excludes))
     rep = report.DiffReport(
         source_names=(left.source_name, right.source_name),
-        field_diffs={FieldSelector.ORGANIZATION: diff},
+        field_diffs={
+            FieldSelector.ORGANIZATION: flatcompare.organization_delta(
+                left, right, tuple(excludes)
+            )
+        },
     )
-    text = report.render_table(rep)
-    if diff.right_only:
-        text += "\ngained:\n" + "".join(f"  {o}\n" for o in sorted(diff.right_only))
-    if diff.left_only:
-        text += "\nlost:\n" + "".join(f"  {o}\n" for o in sorted(diff.left_only))
-    _emit(out, args, text)
+    _emit(out, args, report.render_orgs(rep))
     return 1 if rep.has_differences() else 0
 
 
@@ -291,21 +262,10 @@ def _cmd_licenses(args, out) -> int:
         _emit(out, args, report.render_json(rep))
         return 1 if rep.has_differences() else 0
 
-    def coverage(doc):
-        n = sum(1 for c in doc.components if c.licenses)
-        return n, len(doc.components)
-
-    ln, lt = coverage(left)
-    rn, rt = coverage(right)
-    text = report.render_table(rep)
-    text += (
-        f"\nlicense coverage: left {ln}/{lt} components,"
-        f" right {rn}/{rt} components\n"
+    coverage = tuple(
+        flatcompare.field_coverage(doc, FieldSelector.LICENSE) for doc in (left, right)
     )
-    for label, values in (("left", lvals), ("right", rvals)):
-        listing = ", ".join(sorted(values)) if values else "(none)"
-        text += f"{label} licenses: {listing}\n"
-    _emit(out, args, text)
+    _emit(out, args, report.render_licenses(rep, coverage))
     return 1 if rep.has_differences() else 0
 
 

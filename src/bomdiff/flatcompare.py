@@ -9,10 +9,11 @@ quantity.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 
-from bomdiff.model import BomDocument
+from bomdiff.model import BomDocument, Component
 
 # Default scope filter for organization comparisons; the Java runtime's own
 # namespaces say nothing about third-party suppliers.
@@ -29,38 +30,43 @@ class FieldSelector(Enum):
     ORGANIZATION = "org"
 
 
+def _org_values(c: Component) -> tuple[str, ...]:
+    org = None if c.purl is None else extract_organization(c.purl)
+    return () if org is None else (org,)
+
+
+# The values each component contributes to a field; empty when it lacks it.
+_EXTRACTORS: dict[FieldSelector, Callable[[Component], Iterable[str]]] = {
+    FieldSelector.NAME: lambda c: (c.name,),
+    FieldSelector.PURL: lambda c: () if c.purl is None else (c.purl,),
+    FieldSelector.CPE: lambda c: () if c.cpe is None else (c.cpe,),
+    FieldSelector.VENDOR: lambda c: () if c.vendor is None else (c.vendor,),
+    FieldSelector.LICENSE: lambda c: c.licenses,
+    FieldSelector.HASH_DIGEST: lambda c: [f"{alg}:{digest}" for alg, digest in c.hashes],
+    FieldSelector.ORGANIZATION: _org_values,
+}
+
+
 def extract_field(doc: BomDocument, sel: FieldSelector) -> Counter:
     """Multiset of the selected field over all components, quantity-weighted.
 
     Components lacking the field contribute nothing; licenses and hashes
     flatten their per-component lists.
     """
+    values_of = _EXTRACTORS[sel]
     out: Counter = Counter()
     for c in doc.components:
         q = c.quantity
-        if sel is FieldSelector.NAME:
-            out[c.name] += q
-        elif sel is FieldSelector.PURL:
-            if c.purl is not None:
-                out[c.purl] += q
-        elif sel is FieldSelector.CPE:
-            if c.cpe is not None:
-                out[c.cpe] += q
-        elif sel is FieldSelector.VENDOR:
-            if c.vendor is not None:
-                out[c.vendor] += q
-        elif sel is FieldSelector.LICENSE:
-            for lic in c.licenses:
-                out[lic] += q
-        elif sel is FieldSelector.HASH_DIGEST:
-            for alg, digest in c.hashes:
-                out[f"{alg}:{digest}"] += q
-        elif sel is FieldSelector.ORGANIZATION:
-            if c.purl is not None:
-                org = extract_organization(c.purl)
-                if org is not None:
-                    out[org] += q
+        for value in values_of(c):
+            out[value] += q
     return out
+
+
+def field_coverage(doc: BomDocument, sel: FieldSelector) -> tuple[int, int]:
+    """(components with at least one value for the field, components with none)."""
+    values_of = _EXTRACTORS[sel]
+    covered = sum(1 for c in doc.components if values_of(c))
+    return covered, len(doc.components) - covered
 
 
 def extract_organization(purl: str) -> str | None:
@@ -181,12 +187,6 @@ class ConsistencyFinding:
     detail: str
 
 
-def hash_coverage(doc: BomDocument) -> tuple[int, int]:
-    """(components carrying at least one hash, components carrying none)."""
-    hashed = sum(1 for c in doc.components if c.hashes)
-    return hashed, len(doc.components) - hashed
-
-
 def cross_field_consistency(
     left: BomDocument, right: BomDocument
 ) -> list[ConsistencyFinding]:
@@ -196,7 +196,7 @@ def cross_field_consistency(
     and shared (algorithm, digest) agree (consensus); shared name with
     disjoint digests on both-hashed components conflicts one way; shared
     digest under different names conflicts the other. Hashless components
-    never produce findings (hash_coverage reports how many were skipped).
+    never produce findings (field_coverage reports how many were skipped).
     Pair verdicts are grouped per name (or per digest) into findings.
 
     The right side is indexed by name and by (algorithm, digest), so only

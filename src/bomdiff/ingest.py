@@ -188,24 +188,25 @@ def parse_cyclonedx(
     entries: list[dict] = []
     parent_of: list[int | None] = []
     paths: list[str] = []
-    subtree_keys: list[str] = []
 
-    def walk(items, parent_idx, path):
+    # Pre-order, with an explicit stack so nesting depth costs no recursion;
+    # every child is numbered after its parent.
+    def children(items, parent_idx, path):
         if not isinstance(items, list):
             raise ParseError(f"{path}: expected an array")
-        for i, entry in enumerate(items):
-            here = f"{path}[{i}]"
-            if not isinstance(entry, dict):
-                raise ParseError(f"{here}: expected an object")
-            entries.append(entry)
-            parent_of.append(parent_idx)
-            paths.append(here)
-            idx = len(entries) - 1
-            nested = entry.get("components")
-            if nested is not None:
-                walk(nested, idx, f"{here}.components")
+        return [(e, parent_idx, f"{path}[{i}]") for i, e in reversed(list(enumerate(items)))]
 
-    walk(data.get("components", []), None, "$.components")
+    stack = children(data.get("components", []), None, "$.components")
+    while stack:
+        entry, parent_idx, here = stack.pop()
+        if not isinstance(entry, dict):
+            raise ParseError(f"{here}: expected an object")
+        entries.append(entry)
+        parent_of.append(parent_idx)
+        paths.append(here)
+        nested = entry.get("components")
+        if nested is not None:
+            stack += children(nested, len(entries) - 1, f"{here}.components")
 
     subject_entry = None
     meta = data.get("metadata")
@@ -214,24 +215,6 @@ def parse_cyclonedx(
         entries.append(subject_entry)
         parent_of.append(None)
         paths.append("$.metadata.component")
-
-    # Content signature including the (order-insensitive) assembly subtree,
-    # so id generation below cannot depend on input array order.
-    children_of: dict[int, list[int]] = {}
-    for i, p in enumerate(parent_of):
-        if p is not None:
-            children_of.setdefault(p, []).append(i)
-    memo: dict[int, str] = {}
-
-    def subtree_key(i: int) -> str:
-        if i not in memo:
-            own = json.dumps(
-                {k: v for k, v in entries[i].items() if k != "components"},
-                sort_keys=True,
-            )
-            kids = sorted(subtree_key(c) for c in children_of.get(i, ()))
-            memo[i] = own + "|" + ",".join(kids)
-        return memo[i]
 
     ids: list[str | None] = [None] * len(entries)
     taken = set()
@@ -245,16 +228,19 @@ def parse_cyclonedx(
 
     # Refless components get content-derived ids, assigned in content order
     # so permuting the input array cannot change the result.
+    refless = [i for i in range(len(entries)) if ids[i] is None]
+    subtree = _subtree_keys(entries, parent_of, refless)
+
     def content_key(i):
         e = entries[i]
         return (
             str(e.get("name", "")),
             str(e.get("version", "")),
             str(e.get("purl", "")),
-            subtree_key(i),
+            subtree[i],
         )
 
-    for i in sorted((i for i in range(len(entries)) if ids[i] is None), key=content_key):
+    for i in sorted(refless, key=content_key):
         e = entries[i]
         base = _opt_str(e, "purl", paths[i]) or (
             f"{e.get('name', '')}@{e.get('version')}"
@@ -307,6 +293,37 @@ def parse_cyclonedx(
         source_name=source_name,
     )
     return _finish(doc, opts)
+
+
+def _subtree_keys(
+    entries: list[dict], parent_of: list[int | None], wanted
+) -> dict[int, str]:
+    """Content signature of each wanted entry and its descendants: own fields
+    as sorted JSON, "|", then the children's keys sorted and joined by ",".
+
+    The key covers the (order-insensitive) assembly subtree, so id generation
+    cannot depend on input array order. Children are numbered after their
+    parent, so walking from the last entry to the first is a post-order.
+    """
+    marked = [False] * len(entries)
+    for i in wanted:
+        marked[i] = True
+    for i, p in enumerate(parent_of):
+        if p is not None and marked[p]:
+            marked[i] = True
+    children_of: dict[int, list[str]] = {}
+    keys: dict[int, str] = {}
+    for i in range(len(entries) - 1, -1, -1):
+        if not marked[i]:
+            continue
+        own = json.dumps(
+            {k: v for k, v in entries[i].items() if k != "components"},
+            sort_keys=True,
+        )
+        keys[i] = own + "|" + ",".join(sorted(children_of.pop(i, ())))
+        if parent_of[i] is not None:
+            children_of.setdefault(parent_of[i], []).append(keys[i])
+    return keys
 
 
 def _cdx_component(entry: dict, cid: str, path: str) -> Component:

@@ -129,9 +129,6 @@ class BomDocument:
     def by_id(self) -> Mapping[ComponentId, Component]:
         return {c.id: c for c in self.components}
 
-    def component(self, component_id: ComponentId) -> Component:
-        return self.by_id[component_id]
-
 
 def canonical_form(doc: BomDocument) -> BomDocument:
     """Return ``doc`` with components and relationships in canonical order.
@@ -148,31 +145,3 @@ def canonical_form(doc: BomDocument) -> BomDocument:
         relationships=tuple(sorted(doc.relationships, key=Relationship.sort_key)),
     )
 
-
-def document_to_dict(doc: BomDocument) -> dict:
-    """Plain-dict dump of a document, stable under canonical form."""
-    return {
-        "format": doc.format.value,
-        "spec_version": doc.spec_version,
-        "subject": doc.subject,
-        "source_name": doc.source_name,
-        "components": [
-            {
-                "id": c.id,
-                "name": c.name,
-                "version": c.version,
-                "purl": c.purl,
-                "cpe": c.cpe,
-                "vendor": c.vendor,
-                "licenses": list(c.licenses),
-                "hashes": [[alg, digest] for alg, digest in c.hashes],
-                "quantity": c.quantity,
-                "extra": {k: v for k, v in c.extra},
-            }
-            for c in doc.components
-        ],
-        "relationships": [
-            {"source": r.source, "target": r.target, "kind": r.kind.value}
-            for r in doc.relationships
-        ],
-    }

@@ -1,8 +1,9 @@
-"""Rendering: fixed-width tables, stable JSON, and DOT graph export.
+"""Rendering: every byte of CLI output except the --timestamp header.
 
-All renderers are pure and byte-deterministic; anything unordered is sorted
-before it reaches the output. Colors are pinned as hex values so golden
-files survive tool upgrades.
+Fixed-width tables and the command texts built on them, stable JSON, and
+DOT graph export. All renderers are pure and byte-deterministic; anything
+unordered is sorted before it reaches the output. Colors are pinned as hex
+values so golden files survive tool upgrades.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
+from bomdiff import flatcompare
 from bomdiff.flatcompare import (
     ConsistencyCategory,
     ConsistencyFinding,
@@ -18,7 +20,8 @@ from bomdiff.flatcompare import (
     MultisetDiff,
 )
 from bomdiff.fuzzy import FuzzyMatch
-from bomdiff.graphcompare import BomGraph, MergedGraph, match_stats
+from bomdiff.graphcompare import MergedGraph, match_stats
+from bomdiff.model import BomDocument
 
 SCHEMA_VERSION = "1"
 
@@ -87,12 +90,55 @@ def render_table(report: DiffReport) -> str:
             )
         )
     if report.hash_coverage is not None:
-        (lh, ln), (rh, rn) = report.hash_coverage
-        sections.append(
-            f"hash coverage: left {lh}/{lh + ln} components,"
-            f" right {rh}/{rh + rn} components\n"
-        )
+        sections.append(_coverage_line("hash", report.hash_coverage))
     return "\n".join(sections)
+
+
+def _coverage_line(label: str, coverage) -> str:
+    (lc, ln), (rc, rn) = coverage
+    return (
+        f"{label} coverage: left {lc}/{lc + ln} components,"
+        f" right {rc}/{rc + rn} components\n"
+    )
+
+
+def render_summary(doc: BomDocument) -> str:
+    """`inspect` text: provenance and sizes, then unique values per field."""
+    version = f" {doc.spec_version}" if doc.spec_version else ""
+    lines = [
+        f"source: {doc.source_name}",
+        f"format: {doc.format.value}{version}",
+        f"components: {len(doc.components)}",
+        f"relationships: {len(doc.relationships)}",
+        f"subject: {doc.subject if doc.subject is not None else '(none)'}",
+    ]
+    for sel in FieldSelector:
+        values = flatcompare.extract_field(doc, sel)
+        lines.append(f"{_LABELS[sel][1].lower()}: {len(values)}")
+    return "\n".join(lines) + "\n"
+
+
+def render_orgs(report: DiffReport) -> str:
+    """The organization table, then the gained and the lost organizations."""
+    diff = report.field_diffs[FieldSelector.ORGANIZATION]
+    text = render_table(report)
+    for label, orgs in (("gained", diff.right_only), ("lost", diff.left_only)):
+        if orgs:
+            text += f"\n{label}:\n" + "".join(f"  {o}\n" for o in sorted(orgs))
+    return text
+
+
+def render_licenses(report: DiffReport, coverage) -> str:
+    """The license table, the coverage line, then each side's licenses.
+
+    ``coverage`` holds (licensed, unlicensed) component counts per side.
+    """
+    diff = report.field_diffs[FieldSelector.LICENSE]
+    text = render_table(report) + "\n" + _coverage_line("license", coverage)
+    for label, only in (("left", diff.left_only), ("right", diff.right_only)):
+        listing = ", ".join(sorted(diff.common.keys() | only.keys())) or "(none)"
+        text += f"{label} licenses: {listing}\n"
+    return text
 
 
 def _field_table(report: DiffReport) -> str:
@@ -154,11 +200,11 @@ def _node_names(merged: MergedGraph) -> tuple[dict[str, str], dict[str, str]]:
 
 
 def graph_stats_line(merged: MergedGraph) -> str:
-    """The one-line partition summary, without a trailing newline."""
+    """The one-line partition summary."""
     stats = match_stats(merged)
     return (
         f"matched={stats.matched} left_only={stats.left_only} "
-        f"right_only={stats.right_only} fuzzy={stats.fuzzy}"
+        f"right_only={stats.right_only} fuzzy={stats.fuzzy}\n"
     )
 
 
@@ -166,7 +212,7 @@ def _graph_text(merged: MergedGraph) -> str:
     """Stats line, sorted one-sided names, then fuzzy links with hints."""
     name_l, name_r = _node_names(merged)
     hints = {(l, r): hint for hint, (l, r) in classify_differences(merged)}
-    lines = [graph_stats_line(merged)]
+    lines = []
     if merged.left_only:
         lines.append("left only:")
         lines.extend(f"  {n}" for n in sorted(name_l[i] for i in merged.left_only))
@@ -179,7 +225,7 @@ def _graph_text(merged: MergedGraph) -> str:
             f"  {score:.6f}  {name_l[l]}  ~  {name_r[r]}  [{hints[(l, r)].value}]"
             for l, r, score in merged.fuzzy_links
         )
-    return "\n".join(lines) + "\n"
+    return graph_stats_line(merged) + "".join(f"{line}\n" for line in lines)
 
 
 def _diff_dict(diff: MultisetDiff) -> dict:
@@ -259,6 +305,8 @@ def render_json(report: DiffReport) -> str:
 
 @dataclass(frozen=True)
 class DotStyle:
+    """The fixed DOT palette."""
+
     matched: str = "#6baed6"       # blue: in both inputs
     left_only: str = "#fa9fb5"     # pink: first input only
     right_only: str = "#ffd92f"    # yellow: second input only
@@ -270,7 +318,7 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(merged: MergedGraph, style: DotStyle = DotStyle()) -> str:
+def to_dot(merged: MergedGraph) -> str:
     """Graphviz digraph of the merged node partition.
 
     Matched pairs collapse to one blue node; one-sided nodes keep their
@@ -278,6 +326,7 @@ def to_dot(merged: MergedGraph, style: DotStyle = DotStyle()) -> str:
     of the solid structural edges.
     """
     name_l, name_r = _node_names(merged)
+    style = DotStyle()
 
     ids: dict[tuple[str, str], str] = {}
     lines = ["digraph merged {", "  node [shape=box, style=filled];"]
@@ -303,20 +352,6 @@ def to_dot(merged: MergedGraph, style: DotStyle = DotStyle()) -> str:
             f"penwidth={style.fuzzy_penwidth}, "
             f'tooltip="{score:.6f}"];'
         )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def graph_to_dot(graph: BomGraph, fill: str = "#6baed6") -> str:
-    """Single-document DOT export; every node one color."""
-    ids = {n.id: f"n{i}" for i, n in enumerate(graph.nodes)}
-    lines = ["digraph bom {", "  node [shape=box, style=filled];"]
-    for n in graph.nodes:
-        lines.append(
-            f'  {ids[n.id]} [label="{_dot_escape(n.name)}", fillcolor="{fill}"];'
-        )
-    for s, t, _kind in graph.edges:
-        lines.append(f"  {ids[s]} -> {ids[t]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -342,13 +342,21 @@ def test_drop_prefix_flag(cdx_file):
     assert invoke("compare", left, right, "--drop-prefix", "npm")[0] == 0
 
 
-@pytest.mark.parametrize("command", ["inspect", "compare"])
-def test_empty_drop_prefix_is_usage_error(pair, command):
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        pytest.param("inspect", "--drop-prefix", id="inspect"),
+        pytest.param("compare", "--drop-prefix", id="compare"),
+        # an empty --exclude prefix would exclude every organization
+        pytest.param("orgs", "--exclude", id="orgs-exclude"),
+    ],
+)
+def test_empty_drop_prefix_is_usage_error(pair, command, flag):
     inputs = pair[:1] if command == "inspect" else pair
-    code, out, err = invoke(command, *inputs, "--drop-prefix", "")
+    code, out, err = invoke(command, *inputs, flag, "")
     assert code == 2 and out == ""
     assert [line for line in err.splitlines() if "error:" in line] == [
-        f"bomdiff {command}: error: argument --drop-prefix: must be non-empty"
+        f"bomdiff {command}: error: argument {flag}: must be non-empty"
     ]
     assert "Traceback" not in err
 

@@ -14,7 +14,7 @@ from bomdiff.flatcompare import (
     cross_field_consistency,
     extract_field,
     extract_organization,
-    hash_coverage,
+    field_coverage,
     multiset_diff,
     organization_delta,
     set_diff,
@@ -34,6 +34,78 @@ def test_extract_field_hash_entries():
 def test_extract_field_skips_missing():
     doc = doc_from([comp("a", "x"), comp("b", "y", vendor="Acme")])
     assert extract_field(doc, FieldSelector.VENDOR) == Counter({"Acme": 1})
+
+
+def chain_extract_field(doc, sel):
+    """Reference: the original per-component if-chain over the selectors."""
+    out = Counter()
+    for c in doc.components:
+        q = c.quantity
+        if sel is FieldSelector.NAME:
+            out[c.name] += q
+        elif sel is FieldSelector.PURL:
+            if c.purl is not None:
+                out[c.purl] += q
+        elif sel is FieldSelector.CPE:
+            if c.cpe is not None:
+                out[c.cpe] += q
+        elif sel is FieldSelector.VENDOR:
+            if c.vendor is not None:
+                out[c.vendor] += q
+        elif sel is FieldSelector.LICENSE:
+            for lic in c.licenses:
+                out[lic] += q
+        elif sel is FieldSelector.HASH_DIGEST:
+            for alg, digest in c.hashes:
+                out[f"{alg}:{digest}"] += q
+        elif sel is FieldSelector.ORGANIZATION:
+            if c.purl is not None:
+                org = extract_organization(c.purl)
+                if org is not None:
+                    out[org] += q
+    return out
+
+
+def _optional(values):
+    return st.one_of(st.none(), st.just(""), st.sampled_from(values))
+
+
+_PURLS = (
+    "pkg:maven/com.acme.util/a@1",
+    "pkg:maven/com.acme.util/b@2",
+    "pkg:pypi/requests@2.28.0",
+    "PKG:npm/%40angular/core@12",
+    "pkg:generic",
+    "pkg:maven/./x@1",
+    "not-a-purl",
+    "npm/left-pad@1",
+)
+
+_field_components = st.lists(
+    st.fixed_dictionaries(
+        {
+            "name": st.sampled_from(("zlib", "curl", "cap")),
+            "purl": _optional(_PURLS),
+            "cpe": _optional(("cpe:2.3:a:zlib:zlib:1", "cpe:2.3:a:x:y:2")),
+            "vendor": _optional(("Acme", "Murata")),
+            "licenses": st.lists(st.sampled_from(("MIT", "Zlib", "GPL-3.0-only")), max_size=3),
+            "hashes": st.lists(
+                st.sampled_from((("SHA256", "aa"), ("MD5", "aa"), ("SHA256", "bb"))),
+                unique=True,
+                max_size=3,
+            ),
+            "quantity": st.integers(1, 5),
+        }
+    ),
+    max_size=10,
+).map(lambda fields: doc_from([comp(f"c{i}", **f) for i, f in enumerate(fields)]))
+
+
+@given(_field_components)
+@settings(max_examples=300)
+def test_extract_field_table_equals_if_chain(doc):
+    for sel in FieldSelector:
+        assert extract_field(doc, sel) == chain_extract_field(doc, sel)
 
 
 @pytest.mark.parametrize(
@@ -149,7 +221,22 @@ def test_exclusion_covers_truncated_namespace_root():
 
 def test_hash_coverage_partition():
     doc = doc_from([comp("a", "x", hashes=(("SHA256", "aa"),)), comp("b", "y"), comp("c", "z")])
-    assert hash_coverage(doc) == (1, 2)
+    assert field_coverage(doc, FieldSelector.HASH_DIGEST) == (1, 2)
+
+
+def test_field_coverage_counts_components_not_values():
+    doc = doc_from(
+        [
+            comp("a", "x", licenses=("MIT", "Zlib"), quantity=3),
+            comp("b", "y", purl="not-a-purl"),
+            comp("c", "z", purl="pkg:maven/com.acme.x/z@1"),
+        ]
+    )
+    assert field_coverage(doc, FieldSelector.LICENSE) == (1, 2)
+    assert field_coverage(doc, FieldSelector.PURL) == (2, 1)
+    assert field_coverage(doc, FieldSelector.ORGANIZATION) == (1, 2)
+    assert field_coverage(doc, FieldSelector.NAME) == (3, 0)
+    assert field_coverage(doc_from([]), FieldSelector.NAME) == (0, 0)
 
 
 def _pair(left_comps, right_comps):

@@ -1,10 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bomdiff
+from bomdiff import ingest
 from bomdiff.ingest import (
     DanglingParentError,
     IngestOptions,
@@ -383,3 +389,105 @@ def test_cyclonedx_parse_is_order_independent(rng):
     shuffled["components"] = rng.sample(components, len(components))
     shuffled["dependencies"] = rng.sample(deps, len(deps))
     assert parse_cyclonedx(json.dumps(shuffled).encode()) == reference
+
+
+def recursive_subtree_keys(entries, parent_of, wanted):
+    """Reference: the original memoized recursion over children_of."""
+    children_of = {}
+    for i, p in enumerate(parent_of):
+        if p is not None:
+            children_of.setdefault(p, []).append(i)
+    memo = {}
+
+    def subtree_key(i):
+        if i not in memo:
+            own = json.dumps(
+                {k: v for k, v in entries[i].items() if k != "components"},
+                sort_keys=True,
+            )
+            kids = sorted(subtree_key(c) for c in children_of.get(i, ()))
+            memo[i] = own + "|" + ",".join(kids)
+        return memo[i]
+
+    for i in wanted:
+        subtree_key(i)
+    return memo
+
+
+# Refless components from small pools, so equal (name, version, purl) ties
+# between different subtrees are common.
+_refless = st.fixed_dictionaries(
+    {"name": st.sampled_from(("board", "cap"))},
+    optional={"version": st.sampled_from(("1", "2")), "purl": st.just("pkg:npm/cap@1")},
+)
+_forests = st.recursive(
+    st.lists(_refless, max_size=3),
+    lambda kids: st.lists(
+        st.one_of(_refless, st.builds(lambda e, c: {**e, "components": c}, _refless, kids)),
+        min_size=1,
+        max_size=3,
+    ),
+    max_leaves=14,
+)
+
+
+def _preorder(forest):
+    entries, parent_of = [], []
+
+    def visit(items, parent):
+        for entry in items:
+            entries.append(entry)
+            parent_of.append(parent)
+            visit(entry.get("components", ()), len(entries) - 1)
+
+    visit(forest, None)
+    return entries, parent_of
+
+
+@given(_forests, st.sets(st.integers(0, 30)))
+@settings(max_examples=300)
+def test_subtree_keys_equal_recursive_oracle(forest, wanted):
+    entries, parent_of = _preorder(forest)
+    wanted = [i for i in sorted(wanted) if i < len(entries)]
+    assert ingest._subtree_keys(entries, parent_of, wanted) == recursive_subtree_keys(
+        entries, parent_of, wanted
+    )
+
+
+@given(_forests)
+@settings(max_examples=100)
+def test_refless_ids_unchanged_by_iterative_keys(forest):
+    raw = json.dumps({"bomFormat": "CycloneDX", "specVersion": "1.5", "components": forest})
+    doc = parse_cyclonedx(raw.encode())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_subtree_keys", recursive_subtree_keys)
+        assert parse_cyclonedx(raw.encode()) == doc
+
+
+def test_deep_refless_nesting_never_tracebacks(tmp_path):
+    # Around the JSON decoder's nesting limit the command either succeeds or
+    # reports a parse error; flattening and id assignment must not overflow.
+    src = str(Path(bomdiff.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    deepest = None
+    for depth in range(480, 496):
+        f = tmp_path / f"deep{depth}.json"
+        f.write_text(
+            '{"bomFormat": "CycloneDX", "specVersion": "1.5", "components": ['
+            + '{"name": "c", "components": [' * (depth - 1)
+            + '{"name": "leaf"}'
+            + "]}" * (depth - 1)
+            + "]}"
+        )
+        r = subprocess.run(
+            [sys.executable, "-m", "bomdiff.cli", "inspect", str(f)],
+            capture_output=True, text=True, env=env,
+        )
+        assert r.returncode in (0, 3), (depth, r.stderr)
+        assert "Traceback" not in r.stderr
+        if r.returncode == 0:
+            deepest = (depth, r.stdout)
+    assert deepest is not None
+    depth, out = deepest
+    assert f"\ncomponents: {depth}\n" in out

@@ -1,4 +1,3 @@
-import json
 
 import pytest
 
@@ -9,7 +8,6 @@ from bomdiff.model import (
     Relationship,
     RelationshipKind,
     canonical_form,
-    document_to_dict,
 )
 from conftest import DEP, comp, doc_from
 
@@ -82,22 +80,6 @@ def test_canonical_form_ignores_input_order():
     assert canonical_form(a) == canonical_form(b)
 
 
-def test_document_to_dict_round_trips_through_json():
-    doc = canonical_form(
-        doc_from(
-            [comp("a", licenses=("MIT",), hashes=(("SHA256", "ab"),), quantity=2)],
-            fmt=BomFormat.GENERIC_HBOM,
-        )
-    )
-    dumped = json.dumps(document_to_dict(doc), sort_keys=True)
-    again = json.dumps(document_to_dict(doc), sort_keys=True)
-    assert dumped == again
-    parsed = json.loads(dumped)
-    assert parsed["components"][0]["quantity"] == 2
-    assert parsed["format"] == "generic-hbom"
-
-
 def test_by_id_lookup():
     doc = doc_from([comp("a"), comp("b")])
     assert doc.by_id["b"].name == "b"
-    assert doc.component("a").id == "a"

@@ -8,7 +8,7 @@ from bomdiff.flatcompare import (
     ConsistencyFinding,
     FieldSelector,
     cross_field_consistency,
-    hash_coverage,
+    field_coverage,
     multiset_diff,
 )
 from bomdiff.fuzzy import FuzzyMatch
@@ -19,7 +19,6 @@ from bomdiff.report import (
     DiffReport,
     DotStyle,
     classify_differences,
-    graph_to_dot,
     render_json,
     render_table,
     to_dot,
@@ -47,7 +46,9 @@ def _report(left=None, right=None, with_graph=False):
         field_diffs=fd,
         graph=graph,
         findings=tuple(cross_field_consistency(left, right)),
-        hash_coverage=(hash_coverage(left), hash_coverage(right)),
+        hash_coverage=tuple(
+            field_coverage(d, FieldSelector.HASH_DIGEST) for d in (left, right)
+        ),
     )
 
 
@@ -200,19 +201,6 @@ def test_dot_is_valid_enough_to_parse():
     declared = set(re.findall(r"^\s*(n\d+)\s*\[", dot, re.M))
     for a, b in re.findall(r"^\s*(n\d+)\s*->\s*(n\d+)", dot, re.M):
         assert {a, b} <= declared
-
-
-def test_dot_custom_style_applied():
-    dot = to_dot(_merged(), DotStyle(matched="#111111", left_only="#222222"))
-    assert "#111111" in dot and "#222222" in dot
-    assert "#6baed6" not in dot
-
-
-def test_single_graph_dot():
-    g = build_graph(doc_from([comp("a", "a"), comp("b", "b")], [("a", "b", DEP)], subject="a"))
-    dot = graph_to_dot(g)
-    assert dot.count("fillcolor") == 2
-    assert "->" in dot
 
 
 def test_classify_prefix_specificity():
