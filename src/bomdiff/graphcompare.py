@@ -3,9 +3,8 @@
 Matching is name-driven and structure-constrained: phase 1 pairs equal
 names depth-first from the matched roots, phase 2 offers fuzzy candidates
 only between unmatched children of already-matched parents. Everything is
-deterministic under permutation of the source document because graphs are
-built from canonical form and children are always enumerated in canonical
-order.
+deterministic under permutation of the source document because nodes,
+edges and children are always enumerated in canonical order.
 """
 
 from __future__ import annotations
@@ -16,7 +15,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 from bomdiff.fuzzy import FuzzyConfig, all_pairs_matches, jaro_winkler
-from bomdiff.model import BomDocument, BomFormat, RelationshipKind, canonical_form
+# canonical_form is not called here (see build_graph); perfbench/traced.py
+# wraps graphcompare.canonical_form by name, so the name stays importable.
+from bomdiff.model import BomDocument, BomFormat, RelationshipKind, canonical_form  # noqa: F401
 
 _KINDS = (RelationshipKind.CONTAINS, RelationshipKind.DEPENDS_ON)
 
@@ -66,30 +67,33 @@ class BomGraph:
         return self._children.get((node_id, kind), ())
 
 
-def _reachable(root: str, edges) -> set[str]:
-    out: dict[str, list[str]] = {}
-    for s, t, _ in edges:
-        out.setdefault(s, []).append(t)
-    seen = {root}
-    stack = [root]
+def _extend_reach(start: str, out: dict[str, list[str]], reach: set[str]) -> None:
+    """Add every node reachable from ``start`` to ``reach``, skipping nodes
+    already in it, so repeated calls over one graph cost O(V + E) in all."""
+    reach.add(start)
+    stack = [start]
     while stack:
         for t in out.get(stack.pop(), ()):
-            if t not in seen:
-                seen.add(t)
+            if t not in reach:
+                reach.add(t)
                 stack.append(t)
-    return seen
 
 
 def build_graph(doc: BomDocument) -> BomGraph:
     """One node per component instance; quantity q spawns q sibling nodes.
 
     A synthetic root named after the source is added when the document has
-    no subject or the subject does not reach every node; unreachable
-    in-degree-zero nodes are adopted first, then cycle representatives in
-    canonical order, until everything hangs off the root.
-    """
-    doc = canonical_form(doc)
+    no subject or the subject does not reach every node. It adopts every
+    in-degree-zero node, then walks the nodes in canonical order and adopts
+    each one still unreached (a representative of a cycle no adopted node
+    reaches), so everything hangs off the root in one linear sweep.
 
+    The result does not depend on the order in which ``doc`` lists its
+    components or relationships, so the document is not re-sorted: the
+    instance ids made for one component (``id#i``, then ``~`` on a clash)
+    can clash only with component ids, never with another component's
+    instances, and nodes, edges and adoption order are all sorted here.
+    """
     nodes: list[GraphNode] = []
     instances: dict[str, list[str]] = {}
     taken = {c.id for c in doc.components}
@@ -113,12 +117,17 @@ def build_graph(doc: BomDocument) -> BomGraph:
         for s in instances[r.source]:
             for t in instances[r.target]:
                 edges.add((s, t, r.kind))
+    out: dict[str, list[str]] = {}
+    for s, t, _ in edges:
+        out.setdefault(s, []).append(t)
 
     subject_instances = instances.get(doc.subject, []) if doc.subject else []
     root = None
     if len(subject_instances) == 1:
         candidate = subject_instances[0]
-        if len(_reachable(candidate, edges)) == len(nodes):
+        reach: set[str] = set()
+        _extend_reach(candidate, out, reach)
+        if len(reach) == len(nodes):
             root = candidate
 
     if root is None:
@@ -130,17 +139,18 @@ def build_graph(doc: BomDocument) -> BomGraph:
             if doc.format is BomFormat.GENERIC_HBOM
             else RelationshipKind.DEPENDS_ON
         )
-        root_node = GraphNode(root, doc.source_name or "root", None, None, None)
         ordered = sorted(nodes, key=GraphNode.sort_key)
+        targets = {t for _, t, _ in edges}
         reach = {root}
-        while len(reach) < len(nodes) + 1:
-            targets = {t for _, t, _ in edges}
-            missing = [n.id for n in ordered if n.id not in reach]
-            batch = [nid for nid in missing if nid not in targets] or missing[:1]
-            for nid in batch:
-                edges.add((root, nid, adopt_kind))
-            reach = _reachable(root, edges)
-        nodes.append(root_node)
+        adopted = [n.id for n in ordered if n.id not in targets]
+        for nid in adopted:
+            _extend_reach(nid, out, reach)
+        for n in ordered:
+            if n.id not in reach:
+                adopted.append(n.id)
+                _extend_reach(n.id, out, reach)
+        edges.update((root, nid, adopt_kind) for nid in adopted)
+        nodes.append(GraphNode(root, doc.source_name or "root", None, None, None))
 
     nodes.sort(key=GraphNode.sort_key)
     return BomGraph(
@@ -163,17 +173,33 @@ class MergedGraph:
     """Partition of both node sets plus fuzzy links between leftovers.
 
     Merged node references are ("both", left id) for matched pairs and
-    ("left"|"right", id) for one-sided nodes; edges from both inputs are
-    re-expressed over those references.
+    ("left"|"right", id) for one-sided nodes; ``edges`` re-expresses the
+    edges of both inputs over those references, built on first read.
     """
 
     pairs: tuple[tuple[str, str], ...]
     left_only: tuple[str, ...]
     right_only: tuple[str, ...]
     fuzzy_links: tuple[tuple[str, str, float], ...]
-    edges: tuple[tuple[tuple[str, str], tuple[str, str], RelationshipKind], ...]
     left: BomGraph
     right: BomGraph
+
+    @cached_property
+    def edges(
+        self,
+    ) -> tuple[tuple[tuple[str, str], tuple[str, str], RelationshipKind], ...]:
+        lmatch = dict(self.pairs)
+        rmatch = {r: l for l, r in self.pairs}
+
+        def lref(n: str) -> tuple[str, str]:
+            return ("both", n) if n in lmatch else ("left", n)
+
+        def rref(n: str) -> tuple[str, str]:
+            return ("both", rmatch[n]) if n in rmatch else ("right", n)
+
+        medges = {(lref(s), lref(t), k) for s, t, k in self.left.edges}
+        medges |= {(rref(s), rref(t), k) for s, t, k in self.right.edges}
+        return tuple(sorted(medges, key=lambda e: (e[0], e[1], e[2].value)))
 
 
 def merge_graphs(
@@ -266,23 +292,11 @@ def merge_graphs(
         used_r.add(r)
         fuzzy_links.append((l, r, s))
 
-    def lref(n: str) -> tuple[str, str]:
-        return ("both", n) if n in lmatch else ("left", n)
-
-    def rref(n: str) -> tuple[str, str]:
-        return ("both", rmatch[n]) if n in rmatch else ("right", n)
-
-    medges = {(lref(s), lref(t), k) for s, t, k in left.edges}
-    medges |= {(rref(s), rref(t), k) for s, t, k in right.edges}
-
     return MergedGraph(
         pairs=tuple(pairs),
         left_only=left_only,
         right_only=right_only,
         fuzzy_links=tuple(fuzzy_links),
-        edges=tuple(
-            sorted(medges, key=lambda e: (e[0], e[1], e[2].value))
-        ),
         left=left,
         right=right,
     )

@@ -527,6 +527,16 @@ def _spdx_fields(pkg: dict, path: str) -> dict:
 
 _HBOM_COLUMNS = ("ref", "name", "parent", "vendor", "quantity")
 
+# Graph construction makes one node per unit of quantity and links every
+# parent instance to every child instance, so HBOM quantities bound the size
+# of the graph. A row over MAX_HBOM_QUANTITY, or a table whose folded
+# components expand to more than MAX_HBOM_NODES nodes or MAX_HBOM_EDGES
+# parent-child instance edges, is a ParseError naming the row that crosses
+# the bound, raised before anything is expanded.
+MAX_HBOM_QUANTITY = 100_000
+MAX_HBOM_NODES = 500_000
+MAX_HBOM_EDGES = 1_000_000
+
 
 def parse_hbom(
     raw, opts: IngestOptions = IngestOptions(), source_name: str = ""
@@ -554,6 +564,10 @@ def parse_hbom(
                 raise ParseError(f"row {n}: quantity '{qraw}' is not an integer") from None
             if quantity < 1:
                 raise ParseError(f"row {n}: quantity must be >= 1, got {quantity}")
+            if quantity > MAX_HBOM_QUANTITY:
+                raise ParseError(
+                    f"row {n}: quantity {quantity} exceeds the limit of {MAX_HBOM_QUANTITY}"
+                )
         else:
             quantity = 1
 
@@ -590,6 +604,7 @@ def parse_hbom(
 
     if opts.fold_quantities:
         components, edges = _fold_quantities(components, edges)
+    _check_expansion(components, edges, row_no)
 
     # Rows without a parent hang off the per-source root that graph
     # construction adds; the table itself records no subject component.
@@ -602,6 +617,28 @@ def parse_hbom(
         source_name=source_name,
     )
     return _finish(doc, opts)
+
+
+def _check_expansion(components, edges, row_no: dict[str, int]) -> None:
+    """Raise ParseError at the first row, in table order, past which the
+    expanded graph would exceed MAX_HBOM_NODES or MAX_HBOM_EDGES."""
+    parent_of = {t: s for s, t, _ in edges}
+    quantity = {c.id: c.quantity for c in components}
+    nodes = links = 0
+    for c in components:
+        nodes += c.quantity
+        if nodes > MAX_HBOM_NODES:
+            raise ParseError(
+                f"row {row_no[c.id]}: quantities expand to more than "
+                f"{MAX_HBOM_NODES} graph nodes"
+            )
+        if c.id in parent_of:
+            links += quantity[parent_of[c.id]] * c.quantity
+            if links > MAX_HBOM_EDGES:
+                raise ParseError(
+                    f"row {row_no[c.id]}: quantities expand to more than "
+                    f"{MAX_HBOM_EDGES} parent-child edges"
+                )
 
 
 def _cell(row: dict, key: str, n: int) -> str:
@@ -647,39 +684,64 @@ def _hbom_rows(raw) -> list[tuple[int, dict]]:
 def _fold_quantities(components, edges):
     """Merge components identical in (name, vendor, parent), summing quantity.
 
-    Runs to a fixpoint: merging two parents can make their children's keys
-    collide, which requires another pass.
+    Rows fold when they agree in name and vendor and their parents have
+    folded together (or both have none), so a parent merge lets its
+    children's keys collide. One top-down pass resolves each parent's group
+    before its children's: from the parentless rows, and from the rows on
+    ``parent`` cycles, which no parentless row reaches and which never fold
+    with each other. The smallest id in each group survives, keeping its own
+    fields and the group's summed quantity.
     """
+    parent_of = {t: s for s, t, _ in edges}
+    children: dict[str, list[str]] = {}
+    for t, s in parent_of.items():
+        children.setdefault(s, []).append(t)
     comps = {c.id: c for c in components}
-    edges = set(edges)
-    while True:
-        parent_of: dict[str, str] = {}
-        for s, t, k in edges:
-            if k is RelationshipKind.CONTAINS:
-                parent_of[t] = s
-        groups: dict[tuple, list[str]] = {}
-        for cid, c in comps.items():
-            groups.setdefault((c.name, c.vendor, parent_of.get(cid)), []).append(cid)
 
-        remap = {}
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            members.sort()
-            survivor = members[0]
-            total = sum(comps[m].quantity for m in members)
-            comps[survivor] = replace(comps[survivor], quantity=total)
-            for m in members[1:]:
-                remap[m] = survivor
-                del comps[m]
-        if not remap:
-            return list(comps.values()), edges
+    # group label of each row: the first row seen with its key
+    label: dict[str, str] = {}
+    groups: dict[tuple, str] = {}
+    walked: dict[str, str] = {}
+    for start in comps:
+        cid = start
+        while cid is not None and cid not in walked:
+            walked[cid] = start
+            cid = parent_of.get(cid)
+        if cid is not None and walked[cid] == start:  # this walk closed a cycle
+            while cid not in label:
+                label[cid] = cid
+                groups[(comps[cid].name, comps[cid].vendor, parent_of[cid])] = cid
+                cid = parent_of[cid]
 
-        edges = {
-            (remap.get(s, s), remap.get(t, t), k)
-            for s, t, k in edges
-            if remap.get(s, s) != remap.get(t, t)
-        }
+    stack = list(label)
+    for cid, c in comps.items():
+        if cid not in parent_of:
+            label[cid] = groups.setdefault((c.name, c.vendor, None), cid)
+            stack.append(cid)
+    while stack:
+        parent = stack.pop()
+        for cid in children.get(parent, ()):
+            if cid not in label:
+                c = comps[cid]
+                label[cid] = groups.setdefault((c.name, c.vendor, label[parent]), cid)
+                stack.append(cid)
+
+    members: dict[str, list[Component]] = {}
+    for c in components:
+        members.setdefault(label[c.id], []).append(c)
+    survivor: dict[str, str] = {}
+    folded: dict[str, Component] = {}
+    for group in members.values():
+        keep = min(group, key=lambda c: c.id)
+        for c in group:
+            survivor[c.id] = keep.id
+        if len(group) > 1:
+            keep = replace(keep, quantity=sum(c.quantity for c in group))
+        folded[keep.id] = keep
+    return (
+        [folded[c.id] for c in components if c.id in folded],
+        {(survivor[s], survivor[t], k) for s, t, k in edges},
+    )
 
 
 # ------------------------------------------------------- shared pipeline

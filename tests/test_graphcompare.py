@@ -1,4 +1,5 @@
 import json
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,13 +7,15 @@ from hypothesis import strategies as st
 from conftest import CON, DEP, comp, doc_from
 from bomdiff.fuzzy import FuzzyConfig, all_pairs_matches
 from bomdiff.graphcompare import (
+    BomGraph,
+    GraphNode,
     build_graph,
     match_stats,
     merge_graphs,
     structure_constrained_reduction,
 )
-from bomdiff.ingest import parse_cyclonedx
-from bomdiff.model import BomFormat, RelationshipKind
+from bomdiff.ingest import parse_cyclonedx, parse_hbom
+from bomdiff.model import BomFormat, RelationshipKind, canonical_form
 
 
 def test_build_graph_expands_quantity():
@@ -248,3 +251,189 @@ def test_merge_invariant_under_input_permutation(make_cdx):
     m1 = merge_graphs(build_graph(parse_cyclonedx(json.dumps(base).encode())), other)
     m2 = merge_graphs(build_graph(parse_cyclonedx(json.dumps(shuffled).encode())), other)
     assert m1 == m2
+
+
+# ---------------------------------------------------------------- oracles
+#
+# build_graph adopts roots in one linear sweep and MergedGraph builds its
+# edges on first read. The versions they replaced stay here as references:
+# the adoption loop that recomputed reachability after every round, and the
+# eager merged-edge construction over the merge's match maps.
+
+
+def _reachable_oracle(root, edges):
+    out = {}
+    for s, t, _ in edges:
+        out.setdefault(s, []).append(t)
+    seen = {root}
+    stack = [root]
+    while stack:
+        for t in out.get(stack.pop(), ()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def build_graph_oracle(doc):
+    doc = canonical_form(doc)
+
+    nodes = []
+    instances = {}
+    taken = {c.id for c in doc.components}
+    for c in doc.components:
+        if c.quantity == 1:
+            ids = [c.id]
+        else:
+            ids = []
+            for i in range(1, c.quantity + 1):
+                nid = f"{c.id}#{i}"
+                while nid in taken:
+                    nid += "~"
+                taken.add(nid)
+                ids.append(nid)
+        instances[c.id] = ids
+        for i, nid in enumerate(ids, start=1):
+            nodes.append(GraphNode(nid, c.name, c.version, c.purl, c.id, i))
+
+    edges = set()
+    for r in doc.relationships:
+        for s in instances[r.source]:
+            for t in instances[r.target]:
+                edges.add((s, t, r.kind))
+
+    subject_instances = instances.get(doc.subject, []) if doc.subject else []
+    root = None
+    if len(subject_instances) == 1:
+        candidate = subject_instances[0]
+        if len(_reachable_oracle(candidate, edges)) == len(nodes):
+            root = candidate
+
+    if root is None:
+        root = "(root)"
+        while root in taken:
+            root += "~"
+        adopt_kind = CON if doc.format is BomFormat.GENERIC_HBOM else DEP
+        root_node = GraphNode(root, doc.source_name or "root", None, None, None)
+        ordered = sorted(nodes, key=GraphNode.sort_key)
+        reach = {root}
+        while len(reach) < len(nodes) + 1:
+            targets = {t for _, t, _ in edges}
+            missing = [n.id for n in ordered if n.id not in reach]
+            batch = [nid for nid in missing if nid not in targets] or missing[:1]
+            for nid in batch:
+                edges.add((root, nid, adopt_kind))
+            reach = _reachable_oracle(root, edges)
+        nodes.append(root_node)
+
+    nodes.sort(key=GraphNode.sort_key)
+    return BomGraph(
+        nodes=tuple(nodes),
+        edges=tuple(sorted(edges, key=lambda e: (e[0], e[1], e[2].value))),
+        root=root,
+        source_name=doc.source_name,
+    )
+
+
+def merged_edges_oracle(m):
+    lmatch = {l: r for l, r in m.pairs}
+    rmatch = {r: l for l, r in m.pairs}
+
+    def lref(n):
+        return ("both", n) if n in lmatch else ("left", n)
+
+    def rref(n):
+        return ("both", rmatch[n]) if n in rmatch else ("right", n)
+
+    medges = {(lref(s), lref(t), k) for s, t, k in m.left.edges}
+    medges |= {(rref(s), rref(t), k) for s, t, k in m.right.edges}
+    return tuple(sorted(medges, key=lambda e: (e[0], e[1], e[2].value)))
+
+
+@st.composite
+def digraph_documents(draw):
+    """Unsorted documents over a few names: random edges of both kinds
+    (so cycles of any length and shared children), quantities up to 3 on
+    both ends of an edge, and no subject or one that may not reach every
+    node."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    ids = draw(st.permutations([f"c{i}" for i in range(n)]))
+    comps = [
+        comp(ids[i], draw(st.sampled_from(names_pool[:4])),
+             quantity=draw(st.integers(min_value=1, max_value=3)))
+        for i in range(n)
+    ]
+    rels = set()
+    for i in range(n):
+        for j in draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2)):
+            if j != i:
+                rels.add((ids[i], ids[j], draw(st.sampled_from([DEP, CON]))))
+    return doc_from(
+        draw(st.permutations(comps)),
+        draw(st.permutations(sorted(rels, key=str))),
+        subject=draw(st.none() | st.sampled_from(ids)),
+        fmt=draw(st.sampled_from([BomFormat.CYCLONEDX_JSON, BomFormat.GENERIC_HBOM])),
+    )
+
+
+@st.composite
+def hbom_forests(draw):
+    """Parsed HBOM tables: repeated rows that fold, duplicate names under
+    different parents, quantities above 1, and `parent` cycles of length 2
+    and longer (a random parent per row)."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    refs = draw(st.permutations([f"r{i}" for i in range(n)]))
+    rows = []
+    for i, ref in enumerate(refs):
+        parent = draw(st.none() | st.sampled_from(refs))
+        rows.append({
+            "ref": ref,
+            "name": draw(st.sampled_from(["board", "chip", "cap"])),
+            "parent": "" if parent in (None, ref) else parent,
+            "vendor": draw(st.sampled_from(["", "acme"])),
+            "quantity": draw(st.integers(min_value=1, max_value=3)),
+        })
+    if n >= 2 and draw(st.booleans()):  # one guaranteed 2-cycle
+        rows[0]["parent"], rows[1]["parent"] = refs[1], refs[0]
+    lines = ["ref,name,parent,vendor,quantity"]
+    lines += [",".join(str(r[k]) for k in ("ref", "name", "parent", "vendor", "quantity"))
+              for r in rows]
+    return parse_hbom("\n".join(lines).encode(), source_name="forest")
+
+
+@given(digraph_documents() | hbom_forests())
+@settings(max_examples=300, deadline=None)
+def test_build_graph_matches_round_based_adoption(doc):
+    assert build_graph(doc) == build_graph_oracle(doc)
+
+
+@given(digraph_documents() | hbom_forests(), digraph_documents() | hbom_forests())
+@settings(max_examples=150, deadline=None)
+def test_merged_edges_match_eager_construction(dl, dr):
+    m = merge_graphs(build_graph(dl), build_graph(dr), FuzzyConfig(threshold=0.5))
+    assert "edges" not in vars(m)  # built on first read only
+    assert m.edges == merged_edges_oracle(m)
+    assert m.edges is m.edges
+
+
+def test_build_graph_accepts_unsorted_input():
+    comps = [comp("z", "zeta", quantity=2), comp("a", "alpha"), comp("m", "mu")]
+    rels = [("z", "a", DEP), ("a", "m", DEP), ("m", "a", DEP)]
+    shuffled = doc_from(comps, rels[::-1])
+    ordered = canonical_form(shuffled)
+    assert shuffled != ordered
+    assert build_graph(shuffled) == build_graph(ordered) == build_graph_oracle(shuffled)
+
+
+def test_build_graph_adoption_is_linear():
+    # 2000 two-row parent cycles and no subject: one cycle member adopted
+    # per cycle; the round-based loop took 6 s here
+    comps, rels = [], []
+    for i in range(2000):
+        comps += [comp(f"a{i:04d}", f"x{i}"), comp(f"b{i:04d}", f"y{i}")]
+        rels += [(f"a{i:04d}", f"b{i:04d}", CON), (f"b{i:04d}", f"a{i:04d}", CON)]
+    doc = doc_from(comps, rels, fmt=BomFormat.GENERIC_HBOM)
+    t0 = time.perf_counter()
+    g = build_graph(doc)
+    assert time.perf_counter() - t0 < 1.0
+    assert sum(1 for s, _, _ in g.edges if s == g.root) == 2000

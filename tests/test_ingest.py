@@ -1,8 +1,11 @@
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,11 @@ from hypothesis import strategies as st
 
 import bomdiff
 from bomdiff import ingest
+from bomdiff.cli import run as cli_run
 from bomdiff.ingest import (
+    MAX_HBOM_EDGES,
+    MAX_HBOM_NODES,
+    MAX_HBOM_QUANTITY,
     DanglingParentError,
     IngestOptions,
     ParseError,
@@ -23,7 +30,7 @@ from bomdiff.ingest import (
     parse_hbom,
     parse_spdx,
 )
-from bomdiff.model import BomFormat, RelationshipKind
+from bomdiff.model import BomFormat, Component, RelationshipKind
 
 
 def test_detect_format_discriminators(make_cdx, make_spdx, make_hbom):
@@ -327,6 +334,49 @@ def test_hbom_quantity_zero_rejected(make_hbom):
         parse_hbom(make_hbom([{"ref": "a", "name": "a", "quantity": 0}]))
 
 
+def test_hbom_quantity_over_row_cap_rejected(make_hbom):
+    raw = make_hbom([{"ref": "a", "name": "a", "quantity": MAX_HBOM_QUANTITY + 1}])
+    with pytest.raises(ParseError, match=f"row 2: quantity {MAX_HBOM_QUANTITY + 1} exceeds"):
+        parse_hbom(raw)
+    ok = make_hbom([{"ref": "a", "name": "a", "quantity": MAX_HBOM_QUANTITY}])
+    assert parse_hbom(ok).components[0].quantity == MAX_HBOM_QUANTITY
+
+
+def test_hbom_folded_nodes_over_total_cap_rejected(make_hbom):
+    # repeated rows each within the row cap fold into one component whose
+    # quantity passes the node cap; the row that crosses it is named
+    rows = MAX_HBOM_NODES // MAX_HBOM_QUANTITY + 1
+    raw = make_hbom(
+        [{"ref": f"r{i}", "name": "cap", "quantity": MAX_HBOM_QUANTITY} for i in range(rows)]
+    )
+    with pytest.raises(ParseError, match=f"row 2: .* more than {MAX_HBOM_NODES} graph nodes"):
+        parse_hbom(raw)
+    # unfolded, the same rows cross the cap at the last one
+    with pytest.raises(ParseError, match=f"row {rows + 1}: .* graph nodes"):
+        parse_hbom(raw, IngestOptions(fold_quantities=False))
+
+
+def test_hbom_expanded_edges_over_cap_rejected(make_hbom):
+    q = 1001  # q * q parent-child instance edges, just over the edge cap
+    assert q * q > MAX_HBOM_EDGES and 2 * q <= MAX_HBOM_NODES
+    raw = make_hbom(
+        [
+            {"ref": "board", "name": "board", "quantity": q},
+            {"ref": "chip", "name": "chip", "parent": "board", "quantity": q},
+        ]
+    )
+    with pytest.raises(ParseError, match=f"row 3: .* more than {MAX_HBOM_EDGES} parent-child edges"):
+        parse_hbom(raw)
+
+
+def test_hbom_quantity_cap_is_exit_3(tmp_path, make_hbom):
+    path = tmp_path / "big.csv"
+    path.write_bytes(make_hbom([{"ref": "a", "name": "a", "quantity": 10**20}]))
+    err = io.StringIO()
+    assert cli_run(["graph", str(path), str(path)], stdout=io.StringIO(), stderr=err) == 3
+    assert err.getvalue().startswith("error:") and "row 2" in err.getvalue()
+
+
 def test_hbom_dangling_parent(make_hbom):
     with pytest.raises(DanglingParentError, match="row 2"):
         parse_hbom(make_hbom([{"ref": "a", "name": "a", "parent": "nowhere"}]))
@@ -491,3 +541,110 @@ def test_deep_refless_nesting_never_tracebacks(tmp_path):
     assert deepest is not None
     depth, out = deepest
     assert f"\ncomponents: {depth}\n" in out
+
+
+# ------------------------------------------------ quantity folding oracle
+#
+# _fold_quantities folds in one top-down pass. The fixpoint it replaced,
+# one full regrouping pass per tree level that merges, stays here as the
+# reference.
+
+
+def fold_quantities_oracle(components, edges):
+    comps = {c.id: c for c in components}
+    edges = set(edges)
+    while True:
+        parent_of = {}
+        for s, t, k in edges:
+            if k is RelationshipKind.CONTAINS:
+                parent_of[t] = s
+        groups = {}
+        for cid, c in comps.items():
+            groups.setdefault((c.name, c.vendor, parent_of.get(cid)), []).append(cid)
+
+        remap = {}
+        for members in groups.values():
+            if len(members) < 2:
+                continue
+            members.sort()
+            survivor = members[0]
+            total = sum(comps[m].quantity for m in members)
+            comps[survivor] = replace(comps[survivor], quantity=total)
+            for m in members[1:]:
+                remap[m] = survivor
+                del comps[m]
+        if not remap:
+            return list(comps.values()), edges
+
+        edges = {
+            (remap.get(s, s), remap.get(t, t), k)
+            for s, t, k in edges
+            if remap.get(s, s) != remap.get(t, t)
+        }
+
+
+@st.composite
+def hbom_tables(draw):
+    """HBOM rows as parse_hbom hands them to folding: ids not in name order,
+    repeated (name, vendor, parent) rows, quantities above 1, and a random
+    parent per row, which makes `parent` cycles of length 2 and longer and
+    trees hanging off them."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    ids = draw(st.permutations([f"r{i:02d}" for i in range(n)]))
+    comps = [
+        Component(
+            id=cid,
+            name=draw(st.sampled_from(["board", "chip", "cap"])),
+            vendor=draw(st.sampled_from([None, "acme"])),
+            quantity=draw(st.integers(min_value=1, max_value=3)),
+            extra=(("row", cid),),
+        )
+        for cid in ids
+    ]
+    parent = {}
+    for cid in ids:
+        p = draw(st.none() | st.sampled_from(ids))
+        if p is not None and p != cid:
+            parent[cid] = p
+    if n >= 3 and draw(st.booleans()):  # one guaranteed 3-cycle
+        parent[ids[0]], parent[ids[1]], parent[ids[2]] = ids[2], ids[0], ids[1]
+    edges = {(p, cid, RelationshipKind.CONTAINS) for cid, p in parent.items()}
+    return comps, edges
+
+
+@given(hbom_tables())
+@settings(max_examples=500, deadline=None)
+def test_fold_matches_fixpoint(table):
+    comps, edges = table
+    assert ingest._fold_quantities(comps, edges) == fold_quantities_oracle(comps, edges)
+
+
+def test_fold_cycle_rows_join_their_siblings():
+    # a and b form a parent 2-cycle; c hangs off a with b's name, so it folds
+    # into b, and then d (under c) folds with e (under b)
+    def row(cid, name, q=1):
+        return Component(id=cid, name=name, quantity=q)
+
+    comps = [row("a", "x"), row("b", "y", 2), row("c", "y", 3), row("d", "z"), row("e", "z")]
+    edges = {(p, c, RelationshipKind.CONTAINS)
+             for p, c in [("b", "a"), ("a", "b"), ("a", "c"), ("c", "d"), ("b", "e")]}
+    folded, fedges = ingest._fold_quantities(comps, edges)
+    assert [(c.id, c.quantity) for c in folded] == [("a", 1), ("b", 5), ("d", 2)]
+    assert fedges == {(p, c, RelationshipKind.CONTAINS) for p, c in [("b", "a"), ("a", "b"), ("b", "d")]}
+    assert (folded, fedges) == fold_quantities_oracle(comps, edges)
+
+
+def test_fold_is_linear_in_depth(make_hbom):
+    # two identical chains of depth 1000 fold into one; the fixpoint took a
+    # full pass per level (2.3 s here)
+    rows = [
+        {"ref": f"{side}{i:04d}", "name": f"n{i}",
+         "parent": f"{side}{i - 1:04d}" if i else ""}
+        for side in "ab" for i in range(1000)
+    ]
+    raw = make_hbom(rows)
+    t0 = time.perf_counter()
+    doc = parse_hbom(raw)
+    assert time.perf_counter() - t0 < 1.0
+    assert {c.quantity for c in doc.components} == {2}
+    assert len(doc.components) == 1000
