@@ -9,6 +9,7 @@ edges and children are always enumerated in canonical order.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,9 +58,10 @@ class BomGraph:
         buckets: dict[tuple[str, RelationshipKind], list[str]] = {}
         for s, t, k in self.edges:
             buckets.setdefault((s, k), []).append(t)
-        by = self.by_id
+        # nodes are in canonical order, so the index is the sort key
+        index = {n.id: i for i, n in enumerate(self.nodes)}
         return {
-            key: tuple(sorted(set(kids), key=lambda i: by[i].sort_key()))
+            key: tuple(sorted(set(kids), key=index.__getitem__))
             for key, kids in buckets.items()
         }
 
@@ -121,6 +123,7 @@ def build_graph(doc: BomDocument) -> BomGraph:
     for s, t, _ in edges:
         out.setdefault(s, []).append(t)
 
+    nodes.sort(key=GraphNode.sort_key)
     subject_instances = instances.get(doc.subject, []) if doc.subject else []
     root = None
     if len(subject_instances) == 1:
@@ -139,20 +142,22 @@ def build_graph(doc: BomDocument) -> BomGraph:
             if doc.format is BomFormat.GENERIC_HBOM
             else RelationshipKind.DEPENDS_ON
         )
-        ordered = sorted(nodes, key=GraphNode.sort_key)
         targets = {t for _, t, _ in edges}
         reach = {root}
-        adopted = [n.id for n in ordered if n.id not in targets]
+        adopted = [n.id for n in nodes if n.id not in targets]
         for nid in adopted:
             _extend_reach(nid, out, reach)
-        for n in ordered:
+        for n in nodes:
             if n.id not in reach:
                 adopted.append(n.id)
                 _extend_reach(n.id, out, reach)
         edges.update((root, nid, adopt_kind) for nid in adopted)
-        nodes.append(GraphNode(root, doc.source_name or "root", None, None, None))
+        insort(
+            nodes,
+            GraphNode(root, doc.source_name or "root", None, None, None),
+            key=GraphNode.sort_key,
+        )
 
-    nodes.sort(key=GraphNode.sort_key)
     return BomGraph(
         nodes=tuple(nodes),
         edges=tuple(sorted(edges, key=lambda e: (e[0], e[1], e[2].value))),
@@ -202,6 +207,21 @@ class MergedGraph:
         return tuple(sorted(medges, key=lambda e: (e[0], e[1], e[2].value)))
 
 
+def _free_by_name(
+    kids: tuple[str, ...],
+    matched: dict[str, str],
+    name: dict[str, str],
+    index: dict[str, int],
+) -> dict[str, list[int]]:
+    """Indices of the unmatched ``kids`` grouped by name, each group in
+    canonical order because ``kids`` is."""
+    groups: dict[str, list[int]] = {}
+    for c in kids:
+        if c not in matched:
+            groups.setdefault(name[c], []).append(index[c])
+    return groups
+
+
 def merge_graphs(
     left: BomGraph, right: BomGraph, cfg: FuzzyConfig = FuzzyConfig()
 ) -> MergedGraph:
@@ -240,10 +260,12 @@ def merge_graphs(
                     descend.append((l, r))
         stack.extend(reversed(descend))
 
-    pairs = sorted(
-        ((l, r) for l, r in lmatch.items()),
-        key=lambda p: left.by_id[p[0]].sort_key(),
-    )
+    # Keys are unique within a graph and ``nodes`` is sorted by them, so a
+    # node's index is its canonical rank. Built per call: a map cached on
+    # the graph would outlive the merge.
+    lindex = {n.id: i for i, n in enumerate(left.nodes)}
+    rindex = {n.id: i for i, n in enumerate(right.nodes)}
+    pairs = sorted(lmatch.items(), key=lambda p: lindex[p[0]])
     left_only = tuple(
         n.id for n in left.nodes if n.id not in lmatch
     )
@@ -252,45 +274,58 @@ def merge_graphs(
     )
 
     # Phase 2: fuzzy candidates only between unmatched children of matched
-    # parents, same edge kind, then one global greedy pass by score.
-    score_cache: dict[tuple[str, str], float] = {}
-
-    def score(a: str, b: str) -> float:
-        key = (a, b)
-        if key not in score_cache:
-            score_cache[key] = jaro_winkler(a, b, cfg)
-        return score_cache[key]
-
-    candidates: dict[tuple[str, str], float] = {}
+    # parents, same edge kind, then one global greedy pass by score. The
+    # candidates are kept as blocks: the free children of one (parent pair,
+    # kind) with one left name x those with one right name, all sharing
+    # that name pair's score, so each distinct name pair is scored once.
+    scores: dict[tuple[str, str], float] = {}
+    levels: dict[float, list[tuple[list[int], list[int]]]] = {}
     for u, v in pairs:
         for kind in _KINDS:
-            lfree = [c for c in left.children(u, kind) if c not in lmatch]
-            rfree = [c for c in right.children(v, kind) if c not in rmatch]
-            for l in lfree:
-                for r in rfree:
-                    if lname[l] == rname[r]:
+            lgroups = _free_by_name(left.children(u, kind), lmatch, lname, lindex)
+            if not lgroups:
+                continue
+            rgroups = _free_by_name(right.children(v, kind), rmatch, rname, rindex)
+            for a, lg in lgroups.items():
+                for b, rg in rgroups.items():
+                    if a == b:
                         continue
-                    s = score(lname[l], rname[r])
+                    s = scores.get((a, b))
+                    if s is None:
+                        s = scores[(a, b)] = jaro_winkler(a, b, cfg)
                     if s > cfg.threshold:
-                        candidates[(l, r)] = s
+                        levels.setdefault(s, []).append((lg, rg))
 
-    ranked = sorted(
-        candidates.items(),
-        key=lambda item: (
-            -item[1],
-            left.by_id[item[0][0]].sort_key(),
-            right.by_id[item[0][1]].sort_key(),
-        ),
-    )
-    used_l: set[str] = set()
-    used_r: set[str] = set()
+    # The greedy over (-score, left key, right key), one score level at a
+    # time: each free left node, in key order, takes the smallest unused
+    # right node among its blocks. Right nodes only ever become used, so a
+    # pointer per block that skips them moves forward only: a level costs
+    # O(its block sides + its matches), plus sorting its left nodes.
+    used_l: set[int] = set()
+    used_r: set[int] = set()
     fuzzy_links = []
-    for (l, r), s in ranked:
-        if l in used_l or r in used_r:
-            continue
-        used_l.add(l)
-        used_r.add(r)
-        fuzzy_links.append((l, r, s))
+    for s in sorted(levels, reverse=True):
+        blocks = levels[s]
+        by_left: dict[int, list[int]] = {}
+        for b, (lg, _) in enumerate(blocks):
+            for i in lg:
+                if i not in used_l:
+                    by_left.setdefault(i, []).append(b)
+        ptr = [0] * len(blocks)
+        for i in sorted(by_left):
+            best = None
+            for b in by_left[i]:
+                rg = blocks[b][1]
+                p = ptr[b]
+                while p < len(rg) and rg[p] in used_r:
+                    p += 1
+                ptr[b] = p
+                if p < len(rg) and (best is None or rg[p] < best):
+                    best = rg[p]
+            if best is not None:
+                used_l.add(i)
+                used_r.add(best)
+                fuzzy_links.append((left.nodes[i].id, right.nodes[best].id, s))
 
     return MergedGraph(
         pairs=tuple(pairs),

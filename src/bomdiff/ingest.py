@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -526,6 +527,8 @@ def _spdx_fields(pkg: dict, path: str) -> dict:
 
 
 _HBOM_COLUMNS = ("ref", "name", "parent", "vendor", "quantity")
+# a minus sign is read so that "-1" gets the ">= 1" message
+_QUANTITY = re.compile(r"-?[0-9]+")
 
 # Graph construction makes one node per unit of quantity and links every
 # parent instance to every child instance, so HBOM quantities bound the size
@@ -558,7 +561,12 @@ def parse_hbom(
 
         qraw = (str(row.get("quantity")) if row.get("quantity") is not None else "").strip()
         if qraw:
+            # ASCII digits only: int() would also take "1_000", "+5" and the
+            # digits of other scripts. It still refuses a digit string over
+            # its length limit.
             try:
+                if not _QUANTITY.fullmatch(qraw):
+                    raise ValueError(qraw)
                 quantity = int(qraw)
             except ValueError:
                 raise ParseError(f"row {n}: quantity '{qraw}' is not an integer") from None

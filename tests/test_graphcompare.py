@@ -1,11 +1,12 @@
 import json
 import time
+from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CON, DEP, comp, doc_from
-from bomdiff.fuzzy import FuzzyConfig, all_pairs_matches
+from bomdiff.fuzzy import FuzzyConfig, all_pairs_matches, jaro_winkler
 from bomdiff.graphcompare import (
     BomGraph,
     GraphNode,
@@ -437,3 +438,204 @@ def test_build_graph_adoption_is_linear():
     g = build_graph(doc)
     assert time.perf_counter() - t0 < 1.0
     assert sum(1 for s, _, _ in g.edges if s == g.root) == 2000
+
+
+# ------------------------------------------------------ phase-2 oracle
+#
+# merge_graphs keeps its phase-2 candidates as name blocks and replays the
+# greedy one score level at a time. The version it replaced stays here as
+# the reference: one candidate per free-left x free-right sibling pair,
+# children and pairs ordered by sort_key, and one global sort by
+# (-score, left key, right key).
+
+
+def merge_graphs_oracle(left, right, cfg=FuzzyConfig()):
+    def children_map(g):
+        buckets = {}
+        for s, t, k in g.edges:
+            buckets.setdefault((s, k), []).append(t)
+        return {
+            key: tuple(sorted(set(kids), key=lambda i: g.by_id[i].sort_key()))
+            for key, kids in buckets.items()
+        }
+
+    lkids, rkids = children_map(left), children_map(right)
+    lmatch = {left.root: right.root}
+    rmatch = {right.root: left.root}
+    lname = {n.id: n.name for n in left.nodes}
+    rname = {n.id: n.name for n in right.nodes}
+
+    visited = set()
+    stack = [(left.root, right.root)]
+    while stack:
+        u, v = stack.pop()
+        if (u, v) in visited:
+            continue
+        visited.add((u, v))
+        descend = []
+        for kind in (CON, DEP):
+            rgroups = {}
+            for r in rkids.get((v, kind), ()):
+                if r not in rmatch:
+                    rgroups.setdefault(rname[r], deque()).append(r)
+            for l in lkids.get((u, kind), ()):
+                if l in lmatch:
+                    if (l, lmatch[l]) not in visited:
+                        descend.append((l, lmatch[l]))
+                    continue
+                bucket = rgroups.get(lname[l])
+                if bucket:
+                    r = bucket.popleft()
+                    lmatch[l] = r
+                    rmatch[r] = l
+                    descend.append((l, r))
+        stack.extend(reversed(descend))
+
+    pairs = sorted(lmatch.items(), key=lambda p: left.by_id[p[0]].sort_key())
+    left_only = tuple(n.id for n in left.nodes if n.id not in lmatch)
+    right_only = tuple(n.id for n in right.nodes if n.id not in rmatch)
+
+    score_cache = {}
+
+    def score(a, b):
+        if (a, b) not in score_cache:
+            score_cache[(a, b)] = jaro_winkler(a, b, cfg)
+        return score_cache[(a, b)]
+
+    candidates = {}
+    for u, v in pairs:
+        for kind in (CON, DEP):
+            lfree = [c for c in lkids.get((u, kind), ()) if c not in lmatch]
+            rfree = [c for c in rkids.get((v, kind), ()) if c not in rmatch]
+            for l in lfree:
+                for r in rfree:
+                    if lname[l] == rname[r]:
+                        continue
+                    s = score(lname[l], rname[r])
+                    if s > cfg.threshold:
+                        candidates[(l, r)] = s
+
+    ranked = sorted(
+        candidates.items(),
+        key=lambda item: (
+            -item[1],
+            left.by_id[item[0][0]].sort_key(),
+            right.by_id[item[0][1]].sort_key(),
+        ),
+    )
+    used_l, used_r = set(), set()
+    fuzzy_links = []
+    for (l, r), s in ranked:
+        if l in used_l or r in used_r:
+            continue
+        used_l.add(l)
+        used_r.add(r)
+        fuzzy_links.append((l, r, s))
+    return pairs, left_only, right_only, fuzzy_links
+
+
+# Names that differ in one trailing character score alike against each
+# other, so distinct name pairs share score levels; board/boards and the
+# resistor values add other levels.
+_renamable = ["part-a", "part-b", "part-c", "part-d", "board", "boards",
+              "resistor-10k", "resistor-10K"]
+
+
+@st.composite
+def renamed_document_pairs(draw):
+    """A DAG document (children may sit under several parents, edges of
+    both kinds, quantities up to 6) and a copy with some names and
+    quantities changed and some edges dropped or added, so matched parents
+    keep free children on both sides, in different orders."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    names = [draw(st.sampled_from(_renamable)) for _ in range(n)]
+    qty = [draw(st.integers(min_value=1, max_value=6)) for _ in range(n)]
+    def dag(max_parents):
+        rels = set()
+        for j in range(1, n):
+            for i in draw(st.sets(st.integers(min_value=0, max_value=j - 1),
+                                  max_size=max_parents)):
+                rels.add((f"c{i}", f"c{j}", draw(st.sampled_from([DEP, CON]))))
+        return rels
+
+    rels = dag(3)
+    def side(names, qty, rels):
+        return doc_from([comp(f"c{i}", names[i], quantity=qty[i]) for i in range(n)],
+                        sorted(rels, key=str))
+
+    rnames = [draw(st.sampled_from(_renamable)) if draw(st.booleans()) else nm
+              for nm in names]
+    rqty = [draw(st.integers(min_value=1, max_value=6)) if draw(st.booleans()) else q
+            for q in qty]
+    rrels = {r for r in rels if draw(st.integers(min_value=0, max_value=4))} | dag(1)
+    return side(names, qty, rels), side(rnames, rqty, rrels)
+
+
+_any_documents = digraph_documents() | hbom_forests()
+
+
+@given(renamed_document_pairs() | st.tuples(_any_documents, _any_documents),
+       st.sampled_from([0.5, 0.85]), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_phase2_blocks_match_candidate_loop(docs, threshold, swap):
+    dl, dr = docs[::-1] if swap else docs
+    left, right = build_graph(dl), build_graph(dr)
+    cfg = FuzzyConfig(threshold=threshold)
+    m = merge_graphs(left, right, cfg)
+    pairs, left_only, right_only, fuzzy_links = merge_graphs_oracle(left, right, cfg)
+    assert m.pairs == tuple(pairs)
+    assert m.left_only == left_only
+    assert m.right_only == right_only
+    assert m.fuzzy_links == tuple(fuzzy_links)
+
+
+def test_phase2_equal_scores_across_name_pairs():
+    # part-a and part-b both score alike against part-c and part-d: one
+    # score level holding four blocks; left nodes take right nodes in key
+    # order, each the smallest one still free
+    def side(names):
+        comps = [comp("board", "board")] + [
+            comp(f"p{i}", nm, quantity=2) for i, nm in enumerate(names)]
+        return doc_from(comps, [("board", f"p{i}", CON) for i in range(len(names))],
+                        subject="board")
+
+    left, right = build_graph(side(["part-a", "part-b"])), build_graph(side(["part-c", "part-d"]))
+    assert jaro_winkler("part-a", "part-c") == jaro_winkler("part-b", "part-d")
+    m = merge_graphs(left, right, FuzzyConfig(threshold=0.5))
+    assert [(l, r) for l, r, _ in m.fuzzy_links] == [
+        ("p0#1", "p0#1"), ("p0#2", "p0#2"), ("p1#1", "p1#1"), ("p1#2", "p1#2")]
+    assert m.fuzzy_links == tuple(merge_graphs_oracle(left, right, FuzzyConfig(threshold=0.5))[3])
+
+
+def test_phase2_shared_child_takes_smallest_right_node_across_parents():
+    # L sits under two matched boards; the first board's block offers R2,
+    # the second's offers R1, and R1 comes first in key order
+    left = build_graph(doc_from(
+        [comp("top"), comp("p1", "board-1"), comp("p2", "board-2"), comp("L", "part-a")],
+        [("top", "p1", CON), ("top", "p2", CON), ("p1", "L", CON), ("p2", "L", CON)],
+        subject="top"))
+    right = build_graph(doc_from(
+        [comp("top"), comp("p1", "board-1"), comp("p2", "board-2"),
+         comp("R1", "part-b"), comp("R2", "part-b")],
+        [("top", "p1", CON), ("top", "p2", CON), ("p1", "R2", CON), ("p2", "R1", CON)],
+        subject="top"))
+    m = merge_graphs(left, right, FuzzyConfig(threshold=0.5))
+    assert [(l, r) for l, r, _ in m.fuzzy_links] == [("L", "R1")]
+    assert m.fuzzy_links == tuple(merge_graphs_oracle(left, right, FuzzyConfig(threshold=0.5))[3])
+
+
+def test_phase2_renamed_part_of_quantity_1000_is_linear():
+    # one parent holding resistor-10k x 1000 on the left and resistor-10K
+    # x 1000 on the right: 10**6 candidates of one score for the candidate
+    # loop, which took about 3 s here; two blocks of 1000 a side now
+    def side(name):
+        return doc_from([comp("board", "board"), comp("r", name, quantity=1000)],
+                        [("board", "r", CON)], subject="board")
+
+    left, right = build_graph(side("resistor-10k")), build_graph(side("resistor-10K"))
+    t0 = time.perf_counter()
+    m = merge_graphs(left, right)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(m.fuzzy_links) == 1000
+    assert all(l == r for l, r, _ in m.fuzzy_links)
+    assert [l for l, _, _ in m.fuzzy_links] == [n.id for n in left.nodes if n.name != "board"]

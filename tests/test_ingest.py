@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -332,6 +333,33 @@ def test_hbom_fold_off_keeps_rows(make_hbom):
 def test_hbom_quantity_zero_rejected(make_hbom):
     with pytest.raises(ParseError, match="row 2.*quantity"):
         parse_hbom(make_hbom([{"ref": "a", "name": "a", "quantity": 0}]))
+
+
+@pytest.mark.parametrize("raw", ["1_000", "١٢", "+5", "0x10", "1.0", "1e3"])
+def test_hbom_quantity_is_ascii_digits_only(tmp_path, make_hbom, raw):
+    # int() accepts the first three; a quantity is read as [0-9]+ only
+    table = make_hbom([{"ref": "a", "name": "a"}, {"ref": "b", "name": "b", "quantity": raw}])
+    message = f"row 3: quantity '{raw}' is not an integer"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_hbom(table)
+    path = tmp_path / "q.csv"
+    path.write_bytes(table)
+    err = io.StringIO()
+    assert cli_run(["inspect", str(path)], stdout=io.StringIO(), stderr=err) == 3
+    assert err.getvalue() == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("raw, value", [("0", 0), ("-1", -1), ("-0", 0)])
+def test_hbom_quantity_below_one_keeps_its_message(make_hbom, raw, value):
+    table = make_hbom([{"ref": "a", "name": "a"}, {"ref": "b", "name": "b", "quantity": raw}])
+    with pytest.raises(ParseError, match=f"^row 3: quantity must be >= 1, got {value}$"):
+        parse_hbom(table)
+
+
+def test_hbom_quantity_digits_strip_and_leading_zeros():
+    raw = json.dumps({"hbom": [{"ref": "a", "name": "a", "quantity": " 007 "},
+                               {"ref": "b", "name": "b", "quantity": 12}]}).encode()
+    assert [c.quantity for c in parse_hbom(raw).components] == [7, 12]
 
 
 def test_hbom_quantity_over_row_cap_rejected(make_hbom):
