@@ -5,26 +5,25 @@ names depth-first from the matched roots, phase 2 offers fuzzy candidates
 only between unmatched children of already-matched parents. Everything is
 deterministic under permutation of the source document because nodes,
 edges and children are always enumerated in canonical order.
+
+Both work on node indices: node i is ``nodes[i]`` (canonical order) and
+an edge s -> t of kind k (0 contains, 1 depends-on, as ``.value`` sorts)
+is ``(s * n + t) * 2 + k``; ``edges`` views decode these on first read.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 from bomdiff.fuzzy import FuzzyConfig, all_pairs_matches, jaro_winkler
-# canonical_form is not called here (see build_graph); perfbench/traced.py
-# wraps graphcompare.canonical_form by name, so the name stays importable.
-from bomdiff.model import BomDocument, BomFormat, RelationshipKind, canonical_form  # noqa: F401
-
-_KINDS = (RelationshipKind.CONTAINS, RelationshipKind.DEPENDS_ON)
+# unused here, but perfbench/traced.py wraps graphcompare.canonical_form
+from bomdiff.model import BomDocument, BomFormat, Component, RelationshipKind, canonical_form  # noqa: F401
 
 
-@dataclass(frozen=True)
-class GraphNode:
+class GraphNode(NamedTuple):
     id: str
     name: str
     version: str | None
@@ -33,52 +32,53 @@ class GraphNode:
     instance: int = 1
 
     def sort_key(self):
-        return (
-            self.name,
-            self.version or "",
-            self.purl or "",
-            self.component_id or "",
-            self.instance,
-        )
+        return (self.name, self.version or "", self.purl or "",
+                self.component_id or "", self.instance)
+
+
+def _kind(code: int) -> RelationshipKind:
+    return RelationshipKind.DEPENDS_ON if code & 1 else RelationshipKind.CONTAINS
 
 
 @dataclass(frozen=True)
 class BomGraph:
+    """Nodes in canonical order, edges as sorted codes, and ``kids[k]``:
+    node index -> its kind-k targets in index order."""
+
     nodes: tuple[GraphNode, ...]
-    edges: tuple[tuple[str, str, RelationshipKind], ...]
-    root: str
+    codes: tuple[int, ...]
+    kids: tuple[dict, dict]
+    root_index: int
     source_name: str = ""
+
+    @property
+    def root(self) -> str:
+        return self.nodes[self.root_index].id
 
     @cached_property
     def by_id(self) -> dict[str, GraphNode]:
         return {n.id: n for n in self.nodes}
 
     @cached_property
-    def _children(self) -> dict[tuple[str, RelationshipKind], tuple[str, ...]]:
-        buckets: dict[tuple[str, RelationshipKind], list[str]] = {}
-        for s, t, k in self.edges:
-            buckets.setdefault((s, k), []).append(t)
-        # nodes are in canonical order, so the index is the sort key
-        index = {n.id: i for i, n in enumerate(self.nodes)}
-        return {
-            key: tuple(sorted(set(kids), key=index.__getitem__))
-            for key, kids in buckets.items()
-        }
-
-    def children(self, node_id: str, kind: RelationshipKind) -> tuple[str, ...]:
-        return self._children.get((node_id, kind), ())
+    def edges(self) -> tuple:
+        ids = [n.id for n in self.nodes]
+        n = len(ids)
+        es = sorted((ids[c // (2 * n)], ids[(c >> 1) % n], c & 1) for c in self.codes)
+        return tuple((s, t, _kind(k)) for s, t, k in es)
 
 
-def _extend_reach(start: str, out: dict[str, list[str]], reach: set[str]) -> None:
-    """Add every node reachable from ``start`` to ``reach``, skipping nodes
-    already in it, so repeated calls over one graph cost O(V + E) in all."""
-    reach.add(start)
+def _extend_reach(start: int, outs, reach: list):
+    """Mark in ``reach`` what ``start`` reaches over the dicts ``outs``,
+    skipping marked nodes: O(V + E) over repeated calls."""
+    reach[start] = True
     stack = [start]
     while stack:
-        for t in out.get(stack.pop(), ()):
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
+        s = stack.pop()
+        for out in outs:
+            for t in out.get(s, ()):
+                if not reach[t]:
+                    reach[t] = True
+                    stack.append(t)
 
 
 def build_graph(doc: BomDocument) -> BomGraph:
@@ -90,80 +90,71 @@ def build_graph(doc: BomDocument) -> BomGraph:
     each one still unreached (a representative of a cycle no adopted node
     reaches), so everything hangs off the root in one linear sweep.
 
-    The result does not depend on the order in which ``doc`` lists its
-    components or relationships, so the document is not re-sorted: the
-    instance ids made for one component (``id#i``, then ``~`` on a clash)
-    can clash only with component ids, never with another component's
-    instances, and nodes, edges and adoption order are all sorted here.
+    The result does not depend on the order of ``doc``'s lists. Sorting
+    the components sorts the nodes. Instance ids (``id#i``, then ``~`` on
+    a clash) can clash only with component ids.
     """
-    nodes: list[GraphNode] = []
-    instances: dict[str, list[str]] = {}
-    taken = {c.id for c in doc.components}
-    for c in doc.components:
-        if c.quantity == 1:
-            ids = [c.id]
-        else:
-            ids = []
-            for i in range(1, c.quantity + 1):
-                nid = f"{c.id}#{i}"
-                while nid in taken:
-                    nid += "~"
-                taken.add(nid)
-                ids.append(nid)
-        instances[c.id] = ids
-        for i, nid in enumerate(ids, start=1):
-            nodes.append(GraphNode(nid, c.name, c.version, c.purl, c.id, i))
+    comps = sorted(doc.components, key=Component.sort_key)
+    cidx = {c.id: i for i, c in enumerate(comps)}
+    rels = [(cidx[r.source], cidx[r.target], r.kind is RelationshipKind.DEPENDS_ON)
+            for r in doc.relationships]
 
-    edges = set()
-    for r in doc.relationships:
-        for s in instances[r.source]:
-            for t in instances[r.target]:
-                edges.add((s, t, r.kind))
-    out: dict[str, list[str]] = {}
-    for s, t, _ in edges:
-        out.setdefault(s, []).append(t)
+    # A subject of quantity 1 reaches every instance iff it reaches every
+    # component: a relationship joins all instances of its two ends.
+    subject = cidx.get(doc.subject)
+    reach = [False] * len(comps)
+    if subject is not None and comps[subject].quantity == 1:
+        out = {}
+        for a, b, _ in rels:
+            out.setdefault(a, []).append(b)
+        _extend_reach(subject, (out,), reach)
+    root, slot = None, -1
+    if subject is None or False in reach:
+        rid = "(root)"
+        while rid in cidx:
+            rid += "~"
+        root = GraphNode(rid, doc.source_name or "root", None, None, None)
+        slot = bisect_left(comps, root.sort_key()[:4], key=Component.sort_key)
 
-    nodes.sort(key=GraphNode.sort_key)
-    subject_instances = instances.get(doc.subject, []) if doc.subject else []
-    root = None
-    if len(subject_instances) == 1:
-        candidate = subject_instances[0]
-        reach: set[str] = set()
-        _extend_reach(candidate, out, reach)
-        if len(reach) == len(nodes):
-            root = candidate
-
+    nodes, spans = [], []
+    for i, c in enumerate(comps + [None]):  # the root may go last
+        if i == slot:
+            p = len(nodes)
+            nodes.append(root)
+        if c is None:
+            break
+        spans.append(range(len(nodes), len(nodes) + c.quantity))
+        for q in range(1, c.quantity + 1):
+            nid = f"{c.id}#{q}" if c.quantity > 1 else c.id
+            while nid != c.id and nid in cidx:
+                nid += "~"
+            nodes.append(GraphNode(nid, c.name, c.version, c.purl, c.id, q))
     if root is None:
-        root = "(root)"
-        while root in taken:
-            root += "~"
-        adopt_kind = (
-            RelationshipKind.CONTAINS
-            if doc.format is BomFormat.GENERIC_HBOM
-            else RelationshipKind.DEPENDS_ON
-        )
-        targets = {t for _, t, _ in edges}
-        reach = {root}
-        adopted = [n.id for n in nodes if n.id not in targets]
-        for nid in adopted:
-            _extend_reach(nid, out, reach)
-        for n in nodes:
-            if n.id not in reach:
-                adopted.append(n.id)
-                _extend_reach(n.id, out, reach)
-        edges.update((root, nid, adopt_kind) for nid in adopted)
-        insort(
-            nodes,
-            GraphNode(root, doc.source_name or "root", None, None, None),
-            key=GraphNode.sort_key,
-        )
+        p = spans[subject].start
 
-    return BomGraph(
-        nodes=tuple(nodes),
-        edges=tuple(sorted(edges, key=lambda e: (e[0], e[1], e[2].value))),
-        root=root,
-        source_name=doc.source_name,
-    )
+    n = len(nodes)
+    codes = sorted({(s * n + t) * 2 + k
+                    for a, b, k in rels for s in spans[a] for t in spans[b]})
+    kids = ({}, {})
+    for c in codes:
+        kids[c & 1].setdefault(c // (2 * n), []).append((c >> 1) % n)
+
+    if root is not None:
+        targets = {(c >> 1) % n for c in codes}
+        adopted = [i for i in range(n) if i not in targets and i != p]
+        reach = [i == p for i in range(n)]
+        for i in adopted:
+            _extend_reach(i, kids, reach)
+        for i in range(n):
+            if not reach[i]:
+                adopted.append(i)
+                _extend_reach(i, kids, reach)
+        k = doc.format is not BomFormat.GENERIC_HBOM
+        kids[k][p] = sorted(adopted)
+        codes += [(p * n + t) * 2 + k for t in kids[k][p]]
+        codes.sort()  # two sorted runs: a linear merge
+
+    return BomGraph(tuple(nodes), tuple(codes), kids, p, doc.source_name)
 
 
 class MatchStats(NamedTuple):
@@ -177,9 +168,11 @@ class MatchStats(NamedTuple):
 class MergedGraph:
     """Partition of both node sets plus fuzzy links between leftovers.
 
+    ``lmatch[i]`` is the right node matched to left node i, or -1;
+    ``rmatch`` the converse; ``links`` is ``fuzzy_links`` over indices.
     Merged node references are ("both", left id) for matched pairs and
     ("left"|"right", id) for one-sided nodes; ``edges`` re-expresses the
-    edges of both inputs over those references, built on first read.
+    edges of both inputs over those references.
     """
 
     pairs: tuple[tuple[str, str], ...]
@@ -188,90 +181,93 @@ class MergedGraph:
     fuzzy_links: tuple[tuple[str, str, float], ...]
     left: BomGraph
     right: BomGraph
+    lmatch: list[int]
+    rmatch: list[int]
+    links: tuple
 
     @cached_property
-    def edges(
-        self,
-    ) -> tuple[tuple[tuple[str, str], tuple[str, str], RelationshipKind], ...]:
-        lmatch = dict(self.pairs)
-        rmatch = {r: l for l, r in self.pairs}
+    def ranked(self) -> tuple[list, list, list]:
+        """Each left and right node's reference rank in (tag, id) order,
+        then the merged edges' sorted codes over those ranks."""
+        lm, rm, lrank = self.lmatch, self.rmatch, [0] * len(self.lmatch)
+        ids = [n.id for n in self.left.nodes]
+        order = sorted(range(len(lm)), key=ids.__getitem__)
+        both = [i for i in order if lm[i] >= 0]
+        for r, i in enumerate(both + [i for i in order if lm[i] < 0]):
+            lrank[i] = r
+        ids = [n.id for n in self.right.nodes]
+        rrank = [lrank[i] for i in rm]  # one-sided: set below
+        order = sorted((j for j, i in enumerate(rm) if i < 0), key=ids.__getitem__)
+        for r, j in enumerate(order, len(lm)):
+            rrank[j] = r
+        n = len(lm) + len(self.right_only)
+        codes = sorted({
+            (rank[c // (2 * m)] * n + rank[(c >> 1) % m]) * 2 + (c & 1)
+            for g, rank in ((self.left, lrank), (self.right, rrank))
+            for m in [len(g.nodes)] for c in g.codes
+        })
+        return lrank, rrank, codes
 
-        def lref(n: str) -> tuple[str, str]:
-            return ("both", n) if n in lmatch else ("left", n)
+    @cached_property
+    def edges(self) -> tuple:
+        refs = sorted(
+            [("left" if j < 0 else "both", n.id) for n, j in zip(self.left.nodes, self.lmatch)]
+            + [("right", n.id) for n, i in zip(self.right.nodes, self.rmatch) if i < 0]
+        )  # a reference's index here is its rank
+        n = len(refs)
+        return tuple((refs[c // (2 * n)], refs[(c >> 1) % n], _kind(c))
+                     for c in self.ranked[2])
 
-        def rref(n: str) -> tuple[str, str]:
-            return ("both", rmatch[n]) if n in rmatch else ("right", n)
 
-        medges = {(lref(s), lref(t), k) for s, t, k in self.left.edges}
-        medges |= {(rref(s), rref(t), k) for s, t, k in self.right.edges}
-        return tuple(sorted(medges, key=lambda e: (e[0], e[1], e[2].value)))
-
-
-def _free_by_name(
-    kids: tuple[str, ...],
-    matched: dict[str, str],
-    name: dict[str, str],
-    index: dict[str, int],
-) -> dict[str, list[int]]:
-    """Indices of the unmatched ``kids`` grouped by name, each group in
-    canonical order because ``kids`` is."""
-    groups: dict[str, list[int]] = {}
+def _free(kids, match: list, name: list) -> dict:
+    """The unmatched ``kids`` grouped by name, in ``kids`` order."""
+    groups = {}
     for c in kids:
-        if c not in matched:
-            groups.setdefault(name[c], []).append(index[c])
+        if match[c] < 0:
+            groups.setdefault(name[c], []).append(c)
     return groups
 
 
 def merge_graphs(
     left: BomGraph, right: BomGraph, cfg: FuzzyConfig = FuzzyConfig()
 ) -> MergedGraph:
-    lmatch: dict[str, str] = {left.root: right.root}
-    rmatch: dict[str, str] = {right.root: left.root}
-    lname = {n.id: n.name for n in left.nodes}
-    rname = {n.id: n.name for n in right.nodes}
+    nr = len(right.nodes)
+    lmatch, rmatch = [-1] * len(left.nodes), [-1] * nr
+    lmatch[left.root_index] = right.root_index
+    rmatch[right.root_index] = left.root_index
+    lname = [n.name for n in left.nodes]
+    rname = [n.name for n in right.nodes]
+    kinds = tuple(zip(left.kids, right.kids))
 
     # Phase 1: depth-first exact-name pairing from the root pair. Children
-    # are grouped per edge kind; same-name groups zip in canonical order.
-    visited: set[tuple[str, str]] = set()
-    stack: list[tuple[str, str]] = [(left.root, right.root)]
+    # are grouped per edge kind; same-name groups zip in canonical order
+    # (right groups reversed, for pop()); pair (u, v) is u * nr + v.
+    visited = set()
+    stack = [(left.root_index, right.root_index)]
     while stack:
         u, v = stack.pop()
-        if (u, v) in visited:
+        if u * nr + v in visited:
             continue
-        visited.add((u, v))
-        descend: list[tuple[str, str]] = []
-        for kind in _KINDS:
-            lkids = left.children(u, kind)
-            rkids = right.children(v, kind)
-            rgroups: dict[str, deque[str]] = {}
-            for r in rkids:
-                if r not in rmatch:
-                    rgroups.setdefault(rname[r], deque()).append(r)
-            for l in lkids:
-                if l in lmatch:
-                    if (l, lmatch[l]) not in visited:
-                        descend.append((l, lmatch[l]))
+        visited.add(u * nr + v)
+        descend = []
+        for lk, rk in kinds:
+            if u not in lk:
+                continue
+            rgroups = _free(reversed(rk.get(v, ())), rmatch, rname)
+            for l in lk[u]:
+                r = lmatch[l]
+                if r >= 0:
+                    if l * nr + r not in visited:
+                        descend.append((l, r))
                     continue
                 bucket = rgroups.get(lname[l])
                 if bucket:
-                    r = bucket.popleft()
+                    r = bucket.pop()
                     lmatch[l] = r
                     rmatch[r] = l
                     descend.append((l, r))
         stack.extend(reversed(descend))
-
-    # Keys are unique within a graph and ``nodes`` is sorted by them, so a
-    # node's index is its canonical rank. Built per call: a map cached on
-    # the graph would outlive the merge.
-    lindex = {n.id: i for i, n in enumerate(left.nodes)}
-    rindex = {n.id: i for i, n in enumerate(right.nodes)}
-    pairs = sorted(lmatch.items(), key=lambda p: lindex[p[0]])
-    left_only = tuple(
-        n.id for n in left.nodes if n.id not in lmatch
-    )
-    right_only = tuple(
-        n.id for n in right.nodes if n.id not in rmatch
-    )
+    matched = [(i, j) for i, j in enumerate(lmatch) if j >= 0]
 
     # Phase 2: fuzzy candidates only between unmatched children of matched
     # parents, same edge kind, then one global greedy pass by score. The
@@ -279,13 +275,12 @@ def merge_graphs(
     # kind) with one left name x those with one right name, all sharing
     # that name pair's score, so each distinct name pair is scored once.
     scores: dict[tuple[str, str], float] = {}
-    levels: dict[float, list[tuple[list[int], list[int]]]] = {}
-    for u, v in pairs:
-        for kind in _KINDS:
-            lgroups = _free_by_name(left.children(u, kind), lmatch, lname, lindex)
-            if not lgroups:
+    levels: dict[float, list[tuple[list, list]]] = {}
+    for u, v in matched:
+        for lk, rk in kinds:
+            if u not in lk or not (lgroups := _free(lk[u], lmatch, lname)):
                 continue
-            rgroups = _free_by_name(right.children(v, kind), rmatch, rname, rindex)
+            rgroups = _free(rk.get(v, ()), rmatch, rname)
             for a, lg in lgroups.items():
                 for b, rg in rgroups.items():
                     if a == b:
@@ -301,9 +296,8 @@ def merge_graphs(
     # right node among its blocks. Right nodes only ever become used, so a
     # pointer per block that skips them moves forward only: a level costs
     # O(its block sides + its matches), plus sorting its left nodes.
-    used_l: set[int] = set()
-    used_r: set[int] = set()
-    fuzzy_links = []
+    used_l, used_r = set(), set()
+    links = []
     for s in sorted(levels, reverse=True):
         blocks = levels[s]
         by_left: dict[int, list[int]] = {}
@@ -325,15 +319,16 @@ def merge_graphs(
             if best is not None:
                 used_l.add(i)
                 used_r.add(best)
-                fuzzy_links.append((left.nodes[i].id, right.nodes[best].id, s))
+                links.append((i, best, s))
 
+    lids = [n.id for n in left.nodes]
+    rids = [n.id for n in right.nodes]
     return MergedGraph(
-        pairs=tuple(pairs),
-        left_only=left_only,
-        right_only=right_only,
-        fuzzy_links=tuple(fuzzy_links),
-        left=left,
-        right=right,
+        tuple((lids[i], rids[j]) for i, j in matched),
+        tuple(lids[i] for i, j in enumerate(lmatch) if j < 0),
+        tuple(rids[j] for j, i in enumerate(rmatch) if i < 0),
+        tuple((lids[i], rids[j], s) for i, j, s in links),
+        left, right, lmatch, rmatch, tuple(links),
     )
 
 
@@ -357,8 +352,5 @@ def structure_constrained_reduction(
     """
     names_l = {n.name for n in left.nodes}
     names_r = {n.name for n in right.nodes}
-    unconstrained = len(
-        all_pairs_matches(names_l, names_r, cfg, exclude_exact=True)
-    )
-    merged = merge_graphs(left, right, cfg)
-    return unconstrained, len(merged.fuzzy_links)
+    unconstrained = len(all_pairs_matches(names_l, names_r, cfg, exclude_exact=True))
+    return unconstrained, len(merge_graphs(left, right, cfg).fuzzy_links)

@@ -191,40 +191,34 @@ def _field_table(report: DiffReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _node_names(merged: MergedGraph) -> tuple[dict[str, str], dict[str, str]]:
-    """{node id: name} for the left graph and for the right graph."""
+def _graph_names(merged: MergedGraph) -> tuple:
+    """Sorted one-sided names per side, and (left name, right name,
+    score, hint) per fuzzy link."""
+    left, right = merged.left.nodes, merged.right.nodes
     return (
-        {n.id: n.name for n in merged.left.nodes},
-        {n.id: n.name for n in merged.right.nodes},
+        sorted(left[i].name for i, j in enumerate(merged.lmatch) if j < 0),
+        sorted(right[j].name for j, i in enumerate(merged.rmatch) if i < 0),
+        [(left[i].name, right[j].name, s, h)
+         for (i, j, s), (h, _) in zip(merged.links, classify_differences(merged))],
     )
 
 
 def graph_stats_line(merged: MergedGraph) -> str:
     """The one-line partition summary."""
-    stats = match_stats(merged)
-    return (
-        f"matched={stats.matched} left_only={stats.left_only} "
-        f"right_only={stats.right_only} fuzzy={stats.fuzzy}\n"
-    )
+    stats = match_stats(merged)._asdict().items()
+    return " ".join(f"{k}={v}" for k, v in stats) + "\n"
 
 
 def _graph_text(merged: MergedGraph) -> str:
     """Stats line, sorted one-sided names, then fuzzy links with hints."""
-    name_l, name_r = _node_names(merged)
-    hints = {(l, r): hint for hint, (l, r) in classify_differences(merged)}
+    left_only, right_only, links = _graph_names(merged)
     lines = []
-    if merged.left_only:
-        lines.append("left only:")
-        lines.extend(f"  {n}" for n in sorted(name_l[i] for i in merged.left_only))
-    if merged.right_only:
-        lines.append("right only:")
-        lines.extend(f"  {n}" for n in sorted(name_r[i] for i in merged.right_only))
-    if merged.fuzzy_links:
+    for label, names in (("left only:", left_only), ("right only:", right_only)):
+        if names:
+            lines += [label, *(f"  {n}" for n in names)]
+    if links:
         lines.append("fuzzy links:")
-        lines.extend(
-            f"  {score:.6f}  {name_l[l]}  ~  {name_r[r]}  [{hints[(l, r)].value}]"
-            for l, r, score in merged.fuzzy_links
-        )
+        lines.extend(f"  {s:.6f}  {a}  ~  {b}  [{h.value}]" for a, b, s, h in links)
     return graph_stats_line(merged) + "".join(f"{line}\n" for line in lines)
 
 
@@ -243,26 +237,14 @@ def _diff_dict(diff: MultisetDiff) -> dict:
 
 
 def _graph_dict(merged: MergedGraph) -> dict:
-    stats = match_stats(merged)
-    name_l, name_r = _node_names(merged)
-    hints = {(l, r): hint for hint, (l, r) in classify_differences(merged)}
+    left_only, right_only, links = _graph_names(merged)
     return {
-        "stats": {
-            "matched": stats.matched,
-            "left_only": stats.left_only,
-            "right_only": stats.right_only,
-            "fuzzy": stats.fuzzy,
-        },
-        "left_only": sorted(name_l[n] for n in merged.left_only),
-        "right_only": sorted(name_r[n] for n in merged.right_only),
+        "stats": match_stats(merged)._asdict(),
+        "left_only": left_only,
+        "right_only": right_only,
         "fuzzy_links": [
-            {
-                "left": name_l[l],
-                "right": name_r[r],
-                "score": round(score, 9),
-                "hint": hints[(l, r)].value,
-            }
-            for l, r, score in merged.fuzzy_links
+            {"left": a, "right": b, "score": round(s, 9), "hint": h.value}
+            for a, b, s, h in links
         ],
     }
 
@@ -325,29 +307,26 @@ def to_dot(merged: MergedGraph) -> str:
     side's color; fuzzy links render as thick yellow dir=none edges on top
     of the solid structural edges.
     """
-    name_l, name_r = _node_names(merged)
     style = DotStyle()
-
-    ids: dict[tuple[str, str], str] = {}
+    left, right = merged.left.nodes, merged.right.nodes
+    lrank, rrank, codes = merged.ranked
+    lm = merged.lmatch
+    nodes = [(lrank[i], left[i].name, style.left_only if lm[i] < 0 else style.matched)
+             for i in sorted(range(len(lm)), key=lambda i: lm[i] < 0)]
+    nodes += [(rrank[j], right[j].name, style.right_only)
+              for j, i in enumerate(merged.rmatch) if i < 0]
     lines = ["digraph merged {", "  node [shape=box, style=filled];"]
-
-    def add(ref: tuple[str, str], label: str, color: str):
-        nid = f"n{len(ids)}"
-        ids[ref] = nid
-        lines.append(f'  {nid} [label="{_dot_escape(label)}", fillcolor="{color}"];')
-
-    for l, r in merged.pairs:
-        add(("both", l), name_l[l], style.matched)
-    for l in merged.left_only:
-        add(("left", l), name_l[l], style.left_only)
-    for r in merged.right_only:
-        add(("right", r), name_r[r], style.right_only)
-
-    for src, dst, _kind in merged.edges:
-        lines.append(f"  {ids[src]} -> {ids[dst]};")
-    for l, r, score in merged.fuzzy_links:
+    num = [0] * len(nodes)  # rank -> DOT node number
+    for d, (rank, label, color) in enumerate(nodes):
+        num[rank] = d
+        lines.append(f'  n{d} [label="{_dot_escape(label)}", fillcolor="{color}"];')
+    n = len(nodes)
+    for c in codes:
+        a, b = divmod(c >> 1, n)
+        lines.append(f"  n{num[a]} -> n{num[b]};")
+    for i, j, score in merged.links:
         lines.append(
-            f"  {ids[('left', l)]} -> {ids[('right', r)]} "
+            f"  n{num[lrank[i]]} -> n{num[rrank[j]]} "
             f'[dir=none, color="{style.fuzzy_edge}", '
             f"penwidth={style.fuzzy_penwidth}, "
             f'tooltip="{score:.6f}"];'
@@ -389,10 +368,10 @@ def classify_differences(
     like transcription slips; everything else is treated as a substituted
     part.
     """
-    name_l, name_r = _node_names(merged)
+    left, right = merged.left.nodes, merged.right.nodes
     out = []
-    for l, r, _score in merged.fuzzy_links:
-        a, b = name_l[l], name_r[r]
+    for i, j, _score in merged.links:
+        a, b = left[i].name, right[j].name
         sa, sb = a.translate(_SEPARATORS), b.translate(_SEPARATORS)
         if sa != sb and (sa.startswith(sb) or sb.startswith(sa)):
             hint = DifferenceHint.PREFIX_SPECIFICITY
@@ -400,5 +379,5 @@ def classify_differences(
             hint = DifferenceHint.LIKELY_TRANSCRIPTION
         else:
             hint = DifferenceHint.SUBSTITUTION
-        out.append((hint, (l, r)))
+        out.append((hint, (left[i].id, right[j].id)))
     return out

@@ -1,6 +1,7 @@
 import json
 import time
 from collections import deque
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import CON, DEP, comp, doc_from
 from bomdiff.fuzzy import FuzzyConfig, all_pairs_matches, jaro_winkler
 from bomdiff.graphcompare import (
-    BomGraph,
     GraphNode,
     build_graph,
     match_stats,
@@ -16,7 +16,16 @@ from bomdiff.graphcompare import (
     structure_constrained_reduction,
 )
 from bomdiff.ingest import parse_cyclonedx, parse_hbom
-from bomdiff.model import BomFormat, RelationshipKind, canonical_form
+from bomdiff.model import BomFormat, Relationship, RelationshipKind, canonical_form
+from bomdiff.report import (
+    DiffReport,
+    DotStyle,
+    _dot_escape,
+    graph_stats_line,
+    render_json,
+    render_table,
+    to_dot,
+)
 
 
 def test_build_graph_expands_quantity():
@@ -256,10 +265,12 @@ def test_merge_invariant_under_input_permutation(make_cdx):
 
 # ---------------------------------------------------------------- oracles
 #
-# build_graph adopts roots in one linear sweep and MergedGraph builds its
-# edges on first read. The versions they replaced stay here as references:
-# the adoption loop that recomputed reachability after every round, and the
-# eager merged-edge construction over the merge's match maps.
+# build_graph adopts roots in one linear sweep over node indices, and
+# MergedGraph encodes its edges as ints that report.to_dot reads directly.
+# The versions they replaced stay here as references: the adoption loop
+# over string ids that recomputed reachability after every round, the eager
+# merged-edge construction over the merge's match maps, and (further down)
+# the DOT export that numbered (tag, id) references through a dict.
 
 
 def _reachable_oracle(root, edges):
@@ -328,12 +339,16 @@ def build_graph_oracle(doc):
         nodes.append(root_node)
 
     nodes.sort(key=GraphNode.sort_key)
-    return BomGraph(
-        nodes=tuple(nodes),
-        edges=tuple(sorted(edges, key=lambda e: (e[0], e[1], e[2].value))),
-        root=root,
-        source_name=doc.source_name,
+    return (
+        tuple(nodes),
+        tuple(sorted(edges, key=lambda e: (e[0], e[1], e[2].value))),
+        root,
+        doc.source_name,
     )
+
+
+def _graph_view(g):
+    return g.nodes, g.edges, g.root, g.source_name
 
 
 def merged_edges_oracle(m):
@@ -405,7 +420,7 @@ def hbom_forests(draw):
 @given(digraph_documents() | hbom_forests())
 @settings(max_examples=300, deadline=None)
 def test_build_graph_matches_round_based_adoption(doc):
-    assert build_graph(doc) == build_graph_oracle(doc)
+    assert _graph_view(build_graph(doc)) == build_graph_oracle(doc)
 
 
 @given(digraph_documents() | hbom_forests(), digraph_documents() | hbom_forests())
@@ -423,7 +438,22 @@ def test_build_graph_accepts_unsorted_input():
     shuffled = doc_from(comps, rels[::-1])
     ordered = canonical_form(shuffled)
     assert shuffled != ordered
-    assert build_graph(shuffled) == build_graph(ordered) == build_graph_oracle(shuffled)
+    assert build_graph(shuffled) == build_graph(ordered)
+    assert _graph_view(build_graph(shuffled)) == build_graph_oracle(shuffled)
+
+
+def test_build_graph_id_clashes_match_oracle():
+    # instance ids that clash with component ids get "~" appended, and the
+    # synthetic root id does too; the taken-set oracle agrees
+    comps = [comp("a", "x", quantity=2), comp("a#1", "x"), comp("a#2", "x", quantity=2),
+             comp("a#2~", "y"), comp("(root)", "test"), comp("a#2#1", "z", quantity=3)]
+    rels = [("a", "a#2", CON), ("a#2#1", "a#1", DEP)]
+    for order in (comps, comps[::-1]):
+        g = build_graph(doc_from(order, rels))
+        assert _graph_view(g) == build_graph_oracle(doc_from(order, rels))
+    ids = {n.id for n in g.nodes}
+    assert {"a#1~", "a#2~~", "a#2#1~", "a#2#2", "(root)~"} <= ids
+    assert len(ids) == len(g.nodes)
 
 
 def test_build_graph_adoption_is_linear():
@@ -639,3 +669,97 @@ def test_phase2_renamed_part_of_quantity_1000_is_linear():
     assert len(m.fuzzy_links) == 1000
     assert all(l == r for l, r, _ in m.fuzzy_links)
     assert [l for l, _, _ in m.fuzzy_links] == [n.id for n in left.nodes if n.name != "board"]
+
+
+# ------------------------------------------------------ DOT export oracle
+#
+# report.to_dot numbers nodes from MergedGraph.ranks and reads the merged
+# edge codes. The version it replaced stays here as the reference: one
+# dict from (tag, id) references to DOT ids, filled by an ``add`` closure,
+# then the string merged edges.
+
+
+def to_dot_oracle(merged):
+    name_l = {n.id: n.name for n in merged.left.nodes}
+    name_r = {n.id: n.name for n in merged.right.nodes}
+    style = DotStyle()
+    ids = {}
+    lines = ["digraph merged {", "  node [shape=box, style=filled];"]
+
+    def add(ref, label, color):
+        nid = f"n{len(ids)}"
+        ids[ref] = nid
+        lines.append(f'  {nid} [label="{_dot_escape(label)}", fillcolor="{color}"];')
+
+    for l, r in merged.pairs:
+        add(("both", l), name_l[l], style.matched)
+    for l in merged.left_only:
+        add(("left", l), name_l[l], style.left_only)
+    for r in merged.right_only:
+        add(("right", r), name_r[r], style.right_only)
+    for src, dst, _kind in merged_edges_oracle(merged):
+        lines.append(f"  {ids[src]} -> {ids[dst]};")
+    for l, r, score in merged.fuzzy_links:
+        lines.append(
+            f"  {ids[('left', l)]} -> {ids[('right', r)]} "
+            f'[dir=none, color="{style.fuzzy_edge}", '
+            f"penwidth={style.fuzzy_penwidth}, "
+            f'tooltip="{score:.6f}"];'
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def quoted_document_pairs(draw):
+    """Document pairs from the generators above with some names given a
+    ``"`` or a ``\\`` (the same names on both sides, so they still match)."""
+    docs = draw(renamed_document_pairs() | st.tuples(_any_documents, _any_documents))
+    names = sorted({c.name for d in docs for c in d.components})
+    marks = draw(st.dictionaries(st.sampled_from(names),
+                                 st.sampled_from(['"', "\\", '\\"', 'x"\\'])))
+
+    def mark(doc):
+        return replace(doc, components=tuple(
+            replace(c, name=c.name + marks.get(c.name, "")) for c in doc.components))
+
+    return mark(docs[0]), mark(docs[1])
+
+
+@given(quoted_document_pairs(), st.sampled_from([0.5, 0.85]))
+@settings(max_examples=300, deadline=None)
+def test_to_dot_matches_ref_dict_export(docs, threshold):
+    m = merge_graphs(build_graph(docs[0]), build_graph(docs[1]),
+                     FuzzyConfig(threshold=threshold))
+    assert to_dot(m) == to_dot_oracle(m)
+
+
+def test_renderers_never_build_string_edges():
+    left, right = build_graph(_tree("l")), build_graph(_tree("r"))
+    for render in (graph_stats_line, to_dot,
+                   lambda m: render_json(DiffReport(("l", "r"), graph=m)),
+                   lambda m: render_table(DiffReport(("l", "r"), graph=m))):
+        m = merge_graphs(left, right)
+        assert render(m)
+        for x in (left, right, m):
+            assert "edges" not in vars(x)
+
+
+def test_duplicate_relationship_changes_nothing():
+    # BomDocument accepts a relationship listed twice; the edge codes are
+    # deduplicated, with and without a synthetic root
+    comps = [comp("top", "top"), comp("a", "a", quantity=2), comp("b", "b", quantity=3)]
+    rels = [Relationship("top", "a", CON), Relationship("a", "b", DEP)]
+    other = build_graph(doc_from([comp("top", "top"), comp("b", "c", quantity=2)],
+                                 [("top", "b", CON)], subject="top"))
+    for subject in ("top", None):
+        once = doc_from(comps, [(r.source, r.target, r.kind) for r in rels], subject=subject)
+        twice = replace(once, relationships=tuple(rels + rels[1:]))
+        assert len(twice.relationships) == 3
+        g1, g2 = build_graph(once), build_graph(twice)
+        assert g1 == g2
+        assert len(g2.codes) == 2 + 6 + (subject is None)
+        assert _graph_view(g2) == build_graph_oracle(twice)
+        for m1, m2 in ((merge_graphs(g1, other), merge_graphs(g2, other)),
+                       (merge_graphs(other, g1), merge_graphs(other, g2))):
+            assert to_dot(m1) == to_dot(m2) == to_dot_oracle(m2)
