@@ -10,6 +10,11 @@ once, lets ``detect_format`` look at the decoded value, and hands the same
 value to the parser it picks; with a format hint the parser decodes the
 bytes itself.
 
+Readers take each field once: a value of the expected type is used as it
+is, any other goes to a checked helper (``_require``, ``_opt_str``,
+``_opt_list``, ``_cell``, ``_hash_pair``) that raises a ParseError at the
+field's JSON path or row. So a path is built only for an error.
+
 Every reader ends in the same normalization pipeline: optional name/ecosystem
 filtering, duplicate collapsing, then canonical ordering, so downstream
 comparison code never sees source-order artifacts.
@@ -21,6 +26,7 @@ import csv
 import io
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -120,9 +126,11 @@ def detect_format(raw) -> BomFormat:
     if isinstance(value, _Text):
         if not value.text.strip():
             raise UnknownFormatError("empty input")
-        first = value.text.lstrip()[:4096].splitlines()
-        header = [c.strip().lower() for c in first[0].split(",")]
-        if "ref" in header and "name" in header:
+        try:
+            header = _csv_table(value.text)[1]
+        except ParseError:
+            header = None
+        if header is not None and "ref" in header and "name" in header:
             return BomFormat.GENERIC_HBOM
         raise UnknownFormatError("input is neither JSON nor a ref/name CSV table")
     if isinstance(value, dict):
@@ -161,8 +169,30 @@ def _opt_list(entry: dict, key: str, path: str) -> list:
     return value
 
 
-def _norm_hash(alg: str, digest: str) -> tuple[str, str]:
-    return alg.upper().replace("-", ""), digest.lower()
+def _hash_pair(h, alg_key: str, digest_key: str, path: str) -> tuple[str, str]:
+    """The checked (algorithm, digest) of a hash object, through ``str()``."""
+    if not isinstance(h, dict):
+        raise ParseError(f"{path}: expected an object")
+    alg = _require(h, alg_key, path)
+    digest = _require(h, digest_key, path)
+    return str(alg), str(digest)
+
+
+def _hash_list(items: list, alg_key: str, digest_key: str, path: str, key: str) -> tuple:
+    """The distinct (algorithm, digest) pairs of the hash objects at
+    ``path.key``, in order: the algorithm uppercased and dash-free, the digest
+    lowercased."""
+    pairs = []
+    for j, h in enumerate(items):
+        alg = digest = None
+        if type(h) is dict:
+            alg, digest = h.get(alg_key), h.get(digest_key)
+        if type(alg) is not str or not alg or type(digest) is not str or not digest:
+            alg, digest = _hash_pair(h, alg_key, digest_key, f"{path}.{key}[{j}]")
+        pair = (alg.upper().replace("-", ""), digest.lower())
+        if pair not in pairs:
+            pairs.append(pair)
+    return tuple(pairs)
 
 
 def _purl_type(purl: str):
@@ -259,41 +289,47 @@ def parse_cyclonedx(
     for i, entry in enumerate(entries):
         components.append(_cdx_component(entry, ids[i], paths[i]))
 
-    edges = set()
-    for i, p in enumerate(parent_of):
-        if p is not None:
-            edges.add((ids[p], ids[i], RelationshipKind.CONTAINS))
-
+    contains = {(ids[p], ids[i]) for i, p in enumerate(parent_of) if p is not None}
+    depends = set()
     deps = data.get("dependencies", [])
     if not isinstance(deps, list):
         raise ParseError("$.dependencies: expected an array")
     for i, dep in enumerate(deps):
         if not isinstance(dep, dict):
             raise ParseError(f"$.dependencies[{i}]: expected an object")
-        targets = _opt_list(dep, "dependsOn", f"$.dependencies[{i}]")
+        targets = dep.get("dependsOn")
+        if targets is not None and type(targets) is not list:
+            targets = _opt_list(dep, "dependsOn", f"$.dependencies[{i}]")
         src = dep.get("ref")
-        if not isinstance(src, str) or src not in taken:
-            continue  # dangling source: unusable, skip
+        if not isinstance(src, str) or src not in taken or not targets:
+            continue  # a dangling source is unusable; no targets add nothing
         for tgt in targets:
             if isinstance(tgt, str) and tgt in taken and tgt != src:
-                edges.add((src, tgt, RelationshipKind.DEPENDS_ON))
+                depends.add((src, tgt))
 
     subject_id = ids[-1] if subject_entry is not None else None
     if subject_id is not None:
-        indeg = {t for _, t, _ in edges}
-        for i, cid in enumerate(ids):
-            if cid != subject_id and cid not in indeg:
-                edges.add((subject_id, cid, RelationshipKind.DEPENDS_ON))
+        indeg = {t for _, t in contains}
+        indeg.update(t for _, t in depends)
+        indeg.add(subject_id)
+        depends.update((subject_id, cid) for cid in ids if cid not in indeg)
 
     doc = BomDocument(
         format=BomFormat.CYCLONEDX_JSON,
         spec_version=spec_version,
         subject=subject_id,
         components=tuple(components),
-        relationships=tuple(Relationship(s, t, k) for s, t, k in edges),
+        relationships=_relationships(contains, depends),
         source_name=source_name,
     )
     return _finish(doc, opts)
+
+
+def _relationships(contains, depends) -> tuple[Relationship, ...]:
+    """Relationships from (source, target) pairs, one collection per kind."""
+    CON, DEP = RelationshipKind.CONTAINS, RelationshipKind.DEPENDS_ON
+    return (*(Relationship(s, t, CON) for s, t in contains),
+            *(Relationship(s, t, DEP) for s, t in depends))
 
 
 def _subtree_keys(
@@ -327,56 +363,64 @@ def _subtree_keys(
     return keys
 
 
+# CycloneDX fields kept in Component.extra, in the order of their extra keys
+_CDX_EXTRA = (("group", "cdx:group"), ("scope", "cdx:scope"), ("type", "cdx:type"))
+
+
 def _cdx_component(entry: dict, cid: str, path: str) -> Component:
-    name = _require(entry, "name", path)
-    if not isinstance(name, str):
-        raise ParseError(f"{path}.name: expected a string")
+    get = entry.get
+    name = get("name")
+    if type(name) is not str or not name:
+        name = _require(entry, "name", path)
+        if not isinstance(name, str):
+            raise ParseError(f"{path}.name: expected a string")
 
     vendor = None
-    supplier = entry.get("supplier")
+    supplier = get("supplier")
     if isinstance(supplier, dict):
-        vendor = _opt_str(supplier, "name", f"{path}.supplier")
+        vendor = supplier.get("name")
+        if vendor is not None and (type(vendor) is not str or not vendor):
+            vendor = _opt_str(supplier, "name", f"{path}.supplier")
 
-    licenses = []
-    for j, lic in enumerate(_opt_list(entry, "licenses", path)):
-        lpath = f"{path}.licenses[{j}]"
-        if not isinstance(lic, dict):
-            raise ParseError(f"{lpath}: expected an object")
-        if isinstance(lic.get("license"), dict):
-            value = lic["license"].get("id") or lic["license"].get("name")
-        else:
-            value = lic.get("expression")
-        if isinstance(value, str) and value and value not in licenses:
-            licenses.append(value)
+    licenses = ()
+    items = get("licenses")
+    if items is not None:
+        if type(items) is not list:
+            items = _opt_list(entry, "licenses", path)
+        found = []
+        for j, lic in enumerate(items):
+            if not isinstance(lic, dict):
+                raise ParseError(f"{path}.licenses[{j}]: expected an object")
+            value = lic.get("license")
+            if isinstance(value, dict):
+                value = value.get("id") or value.get("name")
+            else:
+                value = lic.get("expression")
+            if isinstance(value, str) and value and value not in found:
+                found.append(value)
+        licenses = tuple(found)
 
-    hashes = []
-    for j, h in enumerate(_opt_list(entry, "hashes", path)):
-        hpath = f"{path}.hashes[{j}]"
-        if not isinstance(h, dict):
-            raise ParseError(f"{hpath}: expected an object")
-        alg = _require(h, "alg", hpath)
-        digest = _require(h, "content", hpath)
-        pair = _norm_hash(str(alg), str(digest))
-        if pair not in hashes:
-            hashes.append(pair)
+    hashes = ()
+    items = get("hashes")
+    if items is not None:
+        if type(items) is not list:
+            items = _opt_list(entry, "hashes", path)
+        hashes = _hash_list(items, "alg", "content", path, "hashes")
 
-    extra = [
-        (f"cdx:{key}", entry[key])
-        for key in ("group", "type", "scope")
-        if isinstance(entry.get(key), str) and entry[key]
-    ]
+    extra = []
+    for key, label in _CDX_EXTRA:
+        value = get(key)
+        if isinstance(value, str) and value:
+            extra.append((label, value))
 
-    return Component(
-        id=cid,
-        name=name,
-        version=_opt_str(entry, "version", path),
-        purl=_opt_str(entry, "purl", path),
-        cpe=_opt_str(entry, "cpe", path),
-        vendor=vendor,
-        licenses=tuple(licenses),
-        hashes=tuple(hashes),
-        extra=tuple(extra),
-    )
+    version, purl, cpe = get("version"), get("purl"), get("cpe")
+    if version is not None and (type(version) is not str or not version):
+        version = _opt_str(entry, "version", path)
+    if purl is not None and (type(purl) is not str or not purl):
+        purl = _opt_str(entry, "purl", path)
+    if cpe is not None and (type(cpe) is not str or not cpe):
+        cpe = _opt_str(entry, "cpe", path)
+    return Component(cid, name, version, purl, cpe, vendor, licenses, hashes, 1, tuple(extra))
 
 
 # --------------------------------------------------------------------- SPDX
@@ -408,7 +452,7 @@ def parse_spdx(
         parsed[sid] = _spdx_fields(pkg, path)
         order.append(sid)
 
-    edges = set()
+    contains, depends = set(), set()
     subject_id = None
     rel_extra: dict[str, dict[str, list[str]]] = {}
     for i, rel in enumerate(_opt_list(data, "relationships", "$")):
@@ -425,9 +469,9 @@ def parse_spdx(
         if a not in parsed or b not in parsed or a == b:
             continue
         if rtype == "DEPENDS_ON":
-            edges.add((a, b, RelationshipKind.DEPENDS_ON))
+            depends.add((a, b))
         elif rtype == "CONTAINS":
-            edges.add((a, b, RelationshipKind.CONTAINS))
+            contains.add((a, b))
         else:
             rel_extra.setdefault(a, {}).setdefault(rtype, []).append(b)
 
@@ -444,17 +488,18 @@ def parse_spdx(
     components = []
     for sid in order:
         fields = parsed[sid]
-        extra = list(fields.pop("extra"))
-        for rtype, targets in sorted(rel_extra.get(sid, {}).items()):
-            extra.append((f"relationship:{rtype}", ",".join(sorted(targets))))
-        components.append(Component(id=sid, extra=tuple(extra), **fields))
+        extra = fields.pop("extra")
+        if sid in rel_extra:
+            extra = (*extra, *((f"relationship:{rtype}", ",".join(sorted(targets)))
+                               for rtype, targets in sorted(rel_extra[sid].items())))
+        components.append(Component(id=sid, extra=extra, **fields))
 
     doc = BomDocument(
         format=BomFormat.SPDX_JSON,
         spec_version=spec_version,
         subject=subject_id,
         components=tuple(components),
-        relationships=tuple(Relationship(s, t, k) for s, t, k in edges),
+        relationships=_relationships(contains, depends),
         source_name=source_name,
     )
     return _finish(doc, opts)
@@ -464,25 +509,33 @@ _NO_VALUE = ("NOASSERTION", "NONE")
 
 
 def _spdx_fields(pkg: dict, path: str) -> dict:
-    name = _require(pkg, "name", path)
-    if not isinstance(name, str):
-        raise ParseError(f"{path}.name: expected a string")
+    get = pkg.get
+    name = get("name")
+    if type(name) is not str or not name:
+        name = _require(pkg, "name", path)
+        if not isinstance(name, str):
+            raise ParseError(f"{path}.name: expected a string")
 
     purl = cpe = None
-    for j, ref in enumerate(_opt_list(pkg, "externalRefs", path)):
-        rpath = f"{path}.externalRefs[{j}]"
-        if not isinstance(ref, dict):
-            raise ParseError(f"{rpath}: expected an object")
-        rtype = ref.get("referenceType")
-        locator = ref.get("referenceLocator")
-        if not isinstance(locator, str) or not locator:
-            continue
-        if rtype == "purl" and purl is None:
-            purl = locator
-        elif rtype in ("cpe23Type", "cpe22Type") and cpe is None:
-            cpe = locator
+    items = get("externalRefs")
+    if items is not None:
+        if type(items) is not list:
+            items = _opt_list(pkg, "externalRefs", path)
+        for j, ref in enumerate(items):
+            if not isinstance(ref, dict):
+                raise ParseError(f"{path}.externalRefs[{j}]: expected an object")
+            rtype = ref.get("referenceType")
+            locator = ref.get("referenceLocator")
+            if not isinstance(locator, str) or not locator:
+                continue
+            if rtype == "purl" and purl is None:
+                purl = locator
+            elif rtype in ("cpe23Type", "cpe22Type") and cpe is None:
+                cpe = locator
 
-    vendor = _opt_str(pkg, "supplier", path)
+    vendor = get("supplier")
+    if vendor is not None and (type(vendor) is not str or not vendor):
+        vendor = _opt_str(pkg, "supplier", path)
     if vendor:
         if vendor in _NO_VALUE:
             vendor = None
@@ -495,30 +548,29 @@ def _spdx_fields(pkg: dict, path: str) -> dict:
 
     licenses = []
     for key in ("licenseConcluded", "licenseDeclared"):
-        value = pkg.get(key)
+        value = get(key)
         if isinstance(value, str) and value and value not in _NO_VALUE:
             if value not in licenses:
                 licenses.append(value)
 
-    hashes = []
-    for j, ck in enumerate(_opt_list(pkg, "checksums", path)):
-        cpath = f"{path}.checksums[{j}]"
-        if not isinstance(ck, dict):
-            raise ParseError(f"{cpath}: expected an object")
-        alg = _require(ck, "algorithm", cpath)
-        digest = _require(ck, "checksumValue", cpath)
-        pair = _norm_hash(str(alg), str(digest))
-        if pair not in hashes:
-            hashes.append(pair)
+    hashes = ()
+    items = get("checksums")
+    if items is not None:
+        if type(items) is not list:
+            items = _opt_list(pkg, "checksums", path)
+        hashes = _hash_list(items, "algorithm", "checksumValue", path, "checksums")
 
+    version = get("versionInfo")
+    if version is not None and (type(version) is not str or not version):
+        version = _opt_str(pkg, "versionInfo", path)
     return {
         "name": name,
-        "version": _opt_str(pkg, "versionInfo", path),
+        "version": version,
         "purl": purl,
         "cpe": cpe,
         "vendor": vendor,
         "licenses": tuple(licenses),
-        "hashes": tuple(hashes),
+        "hashes": hashes,
         "extra": (),
     }
 
@@ -526,7 +578,7 @@ def _spdx_fields(pkg: dict, path: str) -> dict:
 # --------------------------------------------------------------------- HBOM
 
 
-_HBOM_COLUMNS = ("ref", "name", "parent", "vendor", "quantity")
+_HBOM_COLUMNS = frozenset(("ref", "name", "parent", "vendor", "quantity"))
 # a minus sign is read so that "-1" gets the ">= 1" message
 _QUANTITY = re.compile(r"-?[0-9]+")
 
@@ -544,14 +596,44 @@ MAX_HBOM_EDGES = 1_000_000
 def parse_hbom(
     raw, opts: IngestOptions = IngestOptions(), source_name: str = ""
 ) -> BomDocument:
-    rows = _hbom_rows(raw)
+    by_ref, parent_ref, row_no = _hbom_components(_hbom_rows(raw))
+    for ref, parent in parent_ref.items():
+        if parent not in by_ref:
+            raise DanglingParentError(
+                f"row {row_no[ref]}: parent '{parent}' does not match any ref"
+            )
 
+    components = list(by_ref.values())
+    edges = [(parent, ref, RelationshipKind.CONTAINS) for ref, parent in parent_ref.items()]
+
+    if opts.fold_quantities:
+        components, edges = _fold_quantities(components, edges)
+    _check_expansion(components, edges, row_no)
+
+    # Rows without a parent hang off the per-source root that graph
+    # construction adds; the table itself records no subject component.
+    doc = BomDocument(
+        format=BomFormat.GENERIC_HBOM,
+        spec_version="",
+        subject=None,
+        components=tuple(components),
+        relationships=tuple(Relationship(s, t, k) for s, t, k in edges),
+        source_name=source_name,
+    )
+    return _finish(doc, opts)
+
+
+def _hbom_components(rows) -> tuple[dict[str, Component], dict[str, str], dict[str, int]]:
+    """One Component per table row, keyed by ref, with each row's parent ref
+    (rows that have one) and row number."""
     by_ref: dict[str, Component] = {}
     parent_ref: dict[str, str] = {}
     row_no: dict[str, int] = {}
     for n, row in rows:
-        ref = _cell(row, "ref", n)
-        name = _cell(row, "name", n)
+        get = row.get
+        ref, name = get("ref"), get("name")
+        ref = ref.strip() if type(ref) is str else _cell(row, "ref", n)
+        name = name.strip() if type(name) is str else _cell(row, "name", n)
         if not ref:
             raise ParseError(f"row {n}: ref must be non-empty")
         if ref in by_ref:
@@ -559,7 +641,8 @@ def parse_hbom(
         if not name:
             raise ParseError(f"row {n}: name must be non-empty")
 
-        qraw = (str(row.get("quantity")) if row.get("quantity") is not None else "").strip()
+        qraw = get("quantity")
+        qraw = "" if qraw is None else str(qraw).strip()
         if qraw:
             # ASCII digits only: int() would also take "1_000", "+5" and the
             # digits of other scripts. It still refuses a digit string over
@@ -579,52 +662,26 @@ def parse_hbom(
         else:
             quantity = 1
 
-        parent = _cell(row, "parent", n)
+        parent = get("parent")
+        parent = parent.strip() if type(parent) is str else _cell(row, "parent", n)
         if parent == ref:
             raise ParseError(f"row {n}: component cannot be its own parent")
         if parent:
             parent_ref[ref] = parent
 
-        extra = tuple(
-            (k, str(v).strip())
-            for k, v in sorted(row.items())
-            if k not in _HBOM_COLUMNS and v is not None and str(v).strip()
-        )
-        by_ref[ref] = Component(
-            id=ref,
-            name=name,
-            vendor=_cell(row, "vendor", n) or None,
-            quantity=quantity,
-            extra=extra,
-        )
+        # Component sorts extra; keys are unique, so this is by key.
+        extra = []
+        for k, v in row.items():
+            if k not in _HBOM_COLUMNS and v is not None:
+                v = str(v).strip()
+                if v:
+                    extra.append((k, v))
+        vendor = get("vendor")
+        vendor = vendor.strip() if type(vendor) is str else _cell(row, "vendor", n)
+        by_ref[ref] = Component(ref, name, None, None, None, vendor or None,
+                                (), (), quantity, tuple(extra))
         row_no[ref] = n
-
-    for ref, parent in parent_ref.items():
-        if parent not in by_ref:
-            raise DanglingParentError(
-                f"row {row_no[ref]}: parent '{parent}' does not match any ref"
-            )
-
-    components = list(by_ref.values())
-    edges = {
-        (parent, ref, RelationshipKind.CONTAINS) for ref, parent in parent_ref.items()
-    }
-
-    if opts.fold_quantities:
-        components, edges = _fold_quantities(components, edges)
-    _check_expansion(components, edges, row_no)
-
-    # Rows without a parent hang off the per-source root that graph
-    # construction adds; the table itself records no subject component.
-    doc = BomDocument(
-        format=BomFormat.GENERIC_HBOM,
-        spec_version="",
-        subject=None,
-        components=tuple(components),
-        relationships=tuple(Relationship(s, t, k) for s, t, k in edges),
-        source_name=source_name,
-    )
-    return _finish(doc, opts)
+    return by_ref, parent_ref, row_no
 
 
 def _check_expansion(components, edges, row_no: dict[str, int]) -> None:
@@ -675,18 +732,33 @@ def _hbom_rows(raw) -> list[tuple[int, dict]]:
             out.append((i + 1, {str(k): item[k] for k in item}))
         return out
 
-    reader = csv.DictReader(io.StringIO(raw.text))
-    if reader.fieldnames is None:
+    reader, header = _csv_table(raw.text)
+    if header is None:
         raise ParseError("row 1: missing CSV header")
-    header = [h.strip() for h in reader.fieldnames]
     if "ref" not in header or "name" not in header:
         raise ParseError("row 1: CSV header must include 'ref' and 'name'")
     out = []
-    for i, row in enumerate(reader):
-        if None in row:
-            raise ParseError(f"row {i + 2}: more cells than header columns")
-        out.append((i + 2, {(k or "").strip(): v for k, v in row.items()}))
+    try:
+        for row in reader:
+            n = len(out) + 2
+            if None in row:
+                raise ParseError(f"row {n}: more cells than header columns")
+            out.append((n, {(k or "").strip(): v for k, v in row.items()}))
+    except csv.Error as e:
+        raise ParseError(f"row {len(out) + 2}: {e}") from None
     return out
+
+
+def _csv_table(text: str) -> tuple[csv.DictReader, list[str] | None]:
+    """A row reader over CSV text and its header: the first record, cells
+    stripped, or None. Detection and the HBOM parser both read it here, so
+    they agree on what a ref/name table is."""
+    reader = csv.DictReader(io.StringIO(text))
+    try:
+        names = reader.fieldnames
+    except csv.Error as e:
+        raise ParseError(f"row 1: {e}") from None
+    return reader, None if names is None else [h.strip() for h in names]
 
 
 def _fold_quantities(components, edges):
@@ -762,18 +834,20 @@ def dedup_components(doc: BomDocument) -> BomDocument:
     rewired to the survivor, and edge duplicates or self-loops produced by
     the rewiring are dropped. Components without a purl never merge.
     """
+    # Only components sharing a purl can merge: the full key is built for
+    # those alone.
+    counts = Counter(c.purl for c in doc.components)
+    shared = {purl for purl, n in counts.items() if n > 1 and purl is not None}
     groups: dict[tuple, list[Component]] = {}
     for c in doc.components:
-        if c.purl is None:
+        if c.purl not in shared:
             continue
-        key = (
-            c.purl,
-            c.name,
-            c.version,
-            c.vendor,
-            tuple(sorted(c.licenses)),
-            tuple(sorted(c.hashes)),
-        )
+        licenses, hashes = c.licenses, c.hashes
+        if len(licenses) > 1:
+            licenses = tuple(sorted(licenses))
+        if len(hashes) > 1:
+            hashes = tuple(sorted(hashes))
+        key = (c.purl, c.name, c.version, c.vendor, licenses, hashes)
         groups.setdefault(key, []).append(c)
 
     remap: dict[str, str] = {}
@@ -787,16 +861,14 @@ def dedup_components(doc: BomDocument) -> BomDocument:
         return doc
 
     components = tuple(c for c in doc.components if c.id not in remap)
-    rewired = {
-        (remap.get(r.source, r.source), remap.get(r.target, r.target), r.kind)
-        for r in doc.relationships
-    }
-    relationships = tuple(
-        Relationship(s, t, k) for s, t, k in rewired if s != t
-    )
+    rewired = (set(), set())  # contains, depends-on
+    for r in doc.relationships:
+        s, t = remap.get(r.source, r.source), remap.get(r.target, r.target)
+        if s != t:
+            rewired[r.kind is RelationshipKind.DEPENDS_ON].add((s, t))
     subject = remap.get(doc.subject, doc.subject) if doc.subject else None
     return replace(
-        doc, components=components, relationships=relationships, subject=subject
+        doc, components=components, relationships=_relationships(*rewired), subject=subject
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Mapping
 
 ComponentId = str
@@ -27,15 +28,18 @@ class RelationshipKind(Enum):
     CONTAINS = "contains"
 
 
-def _absent_if_empty(value: str | None) -> str | None:
-    # Empty strings in a source never count as a recorded value; treating ""
-    # as data would make it a spurious "common" value in set comparisons.
-    if value is None or value == "":
-        return None
-    return value
+def _pairs(items) -> tuple:
+    """``items`` as a tuple of tuples; ``items`` itself when it is one."""
+    if type(items) is tuple:
+        for item in items:
+            if type(item) is not tuple:
+                break
+        else:
+            return items
+    return tuple(tuple(item) for item in items)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Component:
     """One normalized BOM entry: a software package or hardware part.
 
@@ -43,6 +47,11 @@ class Component:
     and dash-free (MD5, SHA1, SHA256, ...) and the digest lowercased, so
     digests recorded by different tools stay comparable. ``extra`` preserves
     unrecognized source attributes verbatim as sorted key/value pairs.
+
+    Construction checks every field once and rewrites only the fields that
+    are not yet normal: ``""`` becomes ``None``, any other iterable becomes a
+    tuple (of tuples for ``hashes`` and ``extra``), and ``extra`` is sorted.
+    The parsers hand over normal values, so they pay for the checks alone.
     """
 
     id: ComponentId
@@ -65,21 +74,34 @@ class Component:
             raise ValueError(
                 f"component {self.id!r}: quantity must be >= 1, got {self.quantity}"
             )
-        object.__setattr__(self, "version", _absent_if_empty(self.version))
-        object.__setattr__(self, "purl", _absent_if_empty(self.purl))
-        object.__setattr__(self, "cpe", _absent_if_empty(self.cpe))
-        object.__setattr__(self, "vendor", _absent_if_empty(self.vendor))
-        object.__setattr__(self, "licenses", tuple(self.licenses))
-        object.__setattr__(self, "hashes", tuple(tuple(h) for h in self.hashes))
-        object.__setattr__(self, "extra", tuple(sorted(tuple(kv) for kv in self.extra)))
-        if len(set(self.hashes)) != len(self.hashes):
+        # Empty strings in a source never count as a recorded value; treating
+        # "" as data would make it a spurious "common" value in set comparisons.
+        if self.version == "":
+            object.__setattr__(self, "version", None)
+        if self.purl == "":
+            object.__setattr__(self, "purl", None)
+        if self.cpe == "":
+            object.__setattr__(self, "cpe", None)
+        if self.vendor == "":
+            object.__setattr__(self, "vendor", None)
+        if type(self.licenses) is not tuple:
+            object.__setattr__(self, "licenses", tuple(self.licenses))
+        hashes = _pairs(self.hashes)
+        if hashes is not self.hashes:
+            object.__setattr__(self, "hashes", hashes)
+        extra = _pairs(self.extra)
+        if len(extra) > 1:
+            extra = tuple(sorted(extra))
+        if extra is not self.extra:
+            object.__setattr__(self, "extra", extra)
+        if len(hashes) > 1 and len(set(hashes)) != len(hashes):
             raise ValueError(f"component {self.id!r}: duplicate hash entries")
 
     def sort_key(self) -> tuple[str, str, str, str]:
         return (self.name, self.version or "", self.purl or "", self.id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relationship:
     """Directed typed edge between two components of one document."""
 
@@ -92,7 +114,11 @@ class Relationship:
             raise ValueError(f"relationship {self.source!r}: source and target must differ")
 
     def sort_key(self) -> tuple[str, str, str]:
-        return (self.source, self.target, self.kind.value)
+        # _value_ is .value without the descriptor call
+        return (self.source, self.target, self.kind._value_)
+
+
+_ID, _SOURCE, _TARGET = attrgetter("id"), attrgetter("source"), attrgetter("target")
 
 
 @dataclass(frozen=True)
@@ -107,21 +133,25 @@ class BomDocument:
     source_name: str
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "relationships", tuple(self.relationships))
-        ids = [c.id for c in self.components]
-        if len(set(ids)) != len(ids):
+        if type(self.components) is not tuple:
+            object.__setattr__(self, "components", tuple(self.components))
+        if type(self.relationships) is not tuple:
+            object.__setattr__(self, "relationships", tuple(self.relationships))
+        ids = list(map(_ID, self.components))
+        known = set(ids)
+        if len(known) != len(ids):
             seen, dupes = set(), set()
             for i in ids:
                 (dupes if i in seen else seen).add(i)
             raise ValueError(f"duplicate component ids: {sorted(dupes)}")
-        known = set(ids)
-        for rel in self.relationships:
-            for endpoint in (rel.source, rel.target):
-                if endpoint not in known:
-                    raise ValueError(
-                        f"relationship endpoint {endpoint!r} does not resolve to a component"
-                    )
+        rels = self.relationships
+        if not (known.issuperset(map(_SOURCE, rels)) and known.issuperset(map(_TARGET, rels))):
+            for rel in rels:
+                for endpoint in (rel.source, rel.target):
+                    if endpoint not in known:
+                        raise ValueError(
+                            f"relationship endpoint {endpoint!r} does not resolve to a component"
+                        )
         if self.subject is not None and self.subject not in known:
             raise ValueError(f"subject {self.subject!r} does not resolve to a component")
 

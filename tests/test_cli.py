@@ -1,8 +1,14 @@
 import io
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bomdiff
 from bomdiff.cli import run
 
 
@@ -379,3 +385,53 @@ def test_hbom_round_trip(tmp_path, make_hbom):
     code, out, _ = invoke("graph", str(f), str(f), "--stats")
     assert code == 0
     assert "matched=4" in out  # root + board + 2 cap instances
+
+
+def _reproducibility_doc(rng, rename):
+    """A CycloneDX document with shuffled arrays, refless components (some
+    nested) and one dependency listed twice."""
+    comps = [
+        {"bom-ref": f"c{i}", "name": f"lib{i}", "version": f"{i}.0",
+         "purl": f"pkg:npm/lib{i}@{i}.0", "hashes": [{"alg": "SHA-256", "content": f"{i:02x}" * 32}]}
+        for i in range(12)
+    ]
+    comps[3]["name"] = rename
+    comps += [
+        {"name": "refless", "version": "1"},
+        {"name": "refless", "version": "1", "components": [{"name": "inner"}, {"name": "inner"}]},
+        {"name": "refless", "purl": "pkg:npm/refless@2"},
+    ]
+    deps = [{"ref": f"c{i}", "dependsOn": [f"c{j}" for j in range(i + 1, 12, 3)]} for i in range(12)]
+    deps.append({"ref": "c0", "dependsOn": ["c1", "c4"]})  # c0 -> c1 and c0 -> c4 again
+    for d in deps:
+        rng.shuffle(d["dependsOn"])
+    rng.shuffle(comps)
+    rng.shuffle(deps)
+    return json.dumps({
+        "bomFormat": "CycloneDX", "specVersion": "1.5",
+        "metadata": {"component": {"bom-ref": "app", "name": "app"}},
+        "components": comps, "dependencies": deps,
+    })
+
+
+def test_output_is_reproducible_across_hash_seeds_and_input_order(tmp_path):
+    src = str(Path(bomdiff.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    outputs = []
+    for hash_seed, order_seed in (("1", 1), ("2", 2)):
+        rng = random.Random(order_seed)
+        here = tmp_path / f"order{order_seed}"  # outputs name the input paths
+        here.mkdir()
+        (here / "left.json").write_text(_reproducibility_doc(rng, "lib3"))
+        (here / "right.json").write_text(_reproducibility_doc(rng, "lib3-renamed"))
+        runs = []
+        for argv in (["graph", "--format", "dot"], ["compare", "--mode", "set", "--format", "json"]):
+            r = subprocess.run(
+                [sys.executable, "-m", "bomdiff.cli", *argv, "left.json", "right.json"],
+                capture_output=True, cwd=here, env={**env, "PYTHONHASHSEED": hash_seed},
+            )
+            assert r.returncode == 1 and r.stderr == b"", r.stderr
+            runs.append(r.stdout)
+        outputs.append(runs)
+    assert outputs[0] == outputs[1]
+    assert b"refless" in outputs[0][0] and b"lib3-renamed" in outputs[0][1]

@@ -430,6 +430,50 @@ def test_hbom_json_variant():
     assert doc.relationships[0].kind is RelationshipKind.CONTAINS
 
 
+# Detection reads the CSV header with the parser's reader, so a table is an
+# HBOM table to both or to neither. Detection used to split the first 4096
+# characters on "," and lowercase the cells.
+_LONG = ",".join(f"col{i}" for i in range(800))
+
+
+@pytest.mark.parametrize(
+    "text, is_table",
+    [
+        ('"ref","name","quantity"\na,b,2\n', True),  # was undetected
+        ("Ref,Name\na,b\n", False),  # was detected, then refused
+        (f"{_LONG},ref,name\n{',' * 800}a,b\n", True),  # header past 4096 characters
+        ("\nref,name\na,b\n", False),  # the header is the first record
+        ("  ref , name\na,b\n", True),
+    ],
+    ids=["quoted", "capitalized", "long-header", "blank-first-line", "spaced"],
+)
+def test_csv_detection_agrees_with_parser(tmp_path, text, is_table):
+    raw = text.encode()
+    path = tmp_path / "t.csv"
+    path.write_bytes(raw)
+    runs = [["inspect", str(path)], ["inspect", "--format-in", "generic-hbom", str(path)]]
+    codes = [cli_run(argv, stdout=io.StringIO(), stderr=io.StringIO()) for argv in runs]
+    if is_table:
+        assert detect_format(raw) is BomFormat.GENERIC_HBOM
+        assert len(parse_document(raw).components) == 1
+        assert codes == [0, 0]
+    else:
+        with pytest.raises(UnknownFormatError, match="neither JSON nor a ref/name CSV table"):
+            detect_format(raw)
+        with pytest.raises(ParseError, match="row 1: CSV header must include 'ref' and 'name'"):
+            parse_hbom(raw)
+        assert codes == [3, 3]
+
+
+def test_csv_reader_errors_are_parse_errors():
+    # the csv module refuses a field over its size limit; that was a traceback
+    raw = ('ref,name\na,"' + "x" * 200_000 + '"\n').encode()
+    with pytest.raises(ParseError, match=r"^row 2: field larger than field limit"):
+        parse_document(raw)
+    with pytest.raises(UnknownFormatError):
+        detect_format(('"' + "x" * 200_000 + '"\n').encode())
+
+
 def test_drop_prefix_by_purl_type(make_cdx):
     raw = make_cdx(
         [

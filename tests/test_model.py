@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import pytest
 
 from bomdiff.model import (
@@ -37,6 +39,41 @@ def test_component_requires_id_and_name():
 def test_component_rejects_duplicate_hashes():
     with pytest.raises(ValueError):
         Component(id="x", name="n", hashes=[("SHA256", "aa"), ("SHA256", "aa")])
+
+
+def test_component_constructor_normalizes_with_slots():
+    c = Component(
+        id="x",
+        name="n",
+        licenses=["MIT", "Zlib"],
+        hashes=[["SHA256", "aa"], ("MD5", "bb")],
+        extra=[["z", "1"], ("a", "2"), ["m", "3"]],
+    )
+    assert c.licenses == ("MIT", "Zlib") and type(c.licenses) is tuple
+    assert c.hashes == (("SHA256", "aa"), ("MD5", "bb"))
+    assert all(type(h) is tuple for h in c.hashes) and type(c.hashes) is tuple
+    assert c.extra == (("a", "2"), ("m", "3"), ("z", "1"))
+    assert all(type(kv) is tuple for kv in c.extra)
+    assert not hasattr(c, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.name = "other"
+
+
+def test_component_replace_revalidates():
+    c = Component(id="x", name="n", version="1")
+    assert dataclasses.replace(c, version="").version is None
+    assert dataclasses.replace(c, extra=[("b", "1"), ("a", "2")]).extra == (("a", "2"), ("b", "1"))
+    with pytest.raises(ValueError, match="quantity must be >= 1"):
+        dataclasses.replace(c, quantity=0)
+    with pytest.raises(ValueError, match="duplicate hash"):
+        dataclasses.replace(c, hashes=(("MD5", "aa"), ["MD5", "aa"]))
+
+
+def test_relationship_is_frozen_with_slots():
+    r = Relationship("a", "b", RelationshipKind.DEPENDS_ON)
+    assert not hasattr(r, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.target = "c"
 
 
 def test_relationship_rejects_self_loop():
