@@ -125,14 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ingest_options(args) -> ingest.IngestOptions:
-    return ingest.IngestOptions(
-        dedup=not args.no_dedup,
-        fold_quantities=not args.no_fold,
-        drop_name_prefixes=tuple(args.drop_prefix),
-    )
-
-
 def _threshold(args) -> float:
     if getattr(args, "threshold", None) is not None:
         return args.threshold
@@ -147,12 +139,22 @@ def _threshold(args) -> float:
     return 0.85
 
 
-def _load_two(args, opts) -> tuple:
-    hint = _FORMAT_CHOICES[args.format_in] if args.format_in else None
-    # Left first, so a bad left input is the error reported.
-    return tuple(
-        ingest.load_document(path, opts, hint) for path in (args.left, args.right)
+def _load(args, *paths) -> tuple:
+    """Load paths in order under the ingest flags and --format-in of args."""
+    opts = ingest.IngestOptions(
+        dedup=not args.no_dedup,
+        fold_quantities=not args.no_fold,
+        drop_name_prefixes=tuple(args.drop_prefix),
     )
+    hint = _FORMAT_CHOICES[args.format_in] if args.format_in else None
+    return tuple(ingest.load_document(path, opts, hint) for path in paths)
+
+
+def _load_two(args) -> tuple:
+    # Left first, so a bad left input is the error reported. A name of its
+    # own, so perfbench/traced.py times exactly the two-input loads it
+    # replays as ingest.load_seq.
+    return _load(args, args.left, args.right)
 
 
 def _emit(out, args, text: str):
@@ -163,9 +165,7 @@ def _emit(out, args, text: str):
 
 
 def _cmd_inspect(args, out) -> int:
-    opts = _ingest_options(args)
-    hint = _FORMAT_CHOICES[args.format_in] if args.format_in else None
-    doc = ingest.load_document(args.file, opts, hint)
+    (doc,) = _load(args, args.file)
     _emit(out, args, report.render_summary(doc))
     return 0
 
@@ -202,7 +202,7 @@ def _compare_report(args, left, right) -> report.DiffReport:
 
 
 def _cmd_compare(args, out) -> int:
-    left, right = _load_two(args, _ingest_options(args))
+    left, right = _load_two(args)
     rep = _compare_report(args, left, right)
     if args.format == "json":
         _emit(out, args, report.render_json(rep))
@@ -212,7 +212,7 @@ def _cmd_compare(args, out) -> int:
 
 
 def _cmd_graph(args, out) -> int:
-    left, right = _load_two(args, _ingest_options(args))
+    left, right = _load_two(args)
     cfg = fuzzy.FuzzyConfig(threshold=_threshold(args))
     gl = graphcompare.build_graph(left)
     gr = graphcompare.build_graph(right)
@@ -233,7 +233,7 @@ def _cmd_graph(args, out) -> int:
 
 
 def _cmd_orgs(args, out) -> int:
-    left, right = _load_two(args, _ingest_options(args))
+    left, right = _load_two(args)
     excludes = [] if args.no_default_excludes else list(
         flatcompare.JAVA_STDLIB_ORG_PREFIXES
     )
@@ -252,7 +252,7 @@ def _cmd_orgs(args, out) -> int:
 
 
 def _cmd_licenses(args, out) -> int:
-    left, right = _load_two(args, _ingest_options(args))
+    left, right = _load_two(args)
     lvals = flatcompare.extract_field(left, FieldSelector.LICENSE)
     rvals = flatcompare.extract_field(right, FieldSelector.LICENSE)
     rep = report.DiffReport(

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bomdiff import _jaro_py
 from bomdiff.fuzzy import (
     BACKEND,
     ConfigError,
@@ -60,21 +59,17 @@ names = st.text(
 
 
 # The all-pairs loop as it was before pruning: every pair is scored. Kept as
-# the oracle for the pruned ``_jaro_py.score_pairs``.
-def unpruned_score_pairs(
-    left, right, threshold, prefix_scale=0.1, max_prefix=4, boost_floor=0.0,
-    exclude_exact=False,
-):
+# the oracle for the pruned ``all_pairs_matches``.
+def unpruned_all_pairs(left, right, cfg=FuzzyConfig(), exclude_exact=False):
     out = []
-    for i in range(len(left)):
-        l = left[i]
-        for j in range(len(right)):
-            r = right[j]
+    for l in sorted(left):
+        for r in sorted(right):
             if exclude_exact and l == r:
                 continue
-            score = _jaro_py.jaro_winkler(l, r, prefix_scale, max_prefix, boost_floor)
-            if score > threshold:
-                out.append((i, j, score))
+            score = jaro_winkler(l, r, cfg)
+            if score > cfg.threshold:
+                out.append(FuzzyMatch(l, r, score))
+    out.sort(key=lambda m: (-m.score, m.left, m.right))
     return out
 
 
@@ -157,6 +152,8 @@ def test_config_validation():
         FuzzyConfig(threshold=-0.1)
     with pytest.raises(ConfigError):
         FuzzyConfig(prefix_scale=0.3)
+    with pytest.raises(ConfigError):
+        FuzzyConfig(prefix_scale=-0.1)
     with pytest.raises(ConfigError):
         FuzzyConfig(max_prefix=-1)
     # each in range, product out of range: score could pass 1
@@ -247,17 +244,22 @@ def test_match_dataclass_shape():
 def test_pruned_score_pairs_equals_unpruned(
     left, right, scale, max_prefix, floor, exclude_exact, data
 ):
-    args = (scale, max_prefix, floor, exclude_exact)
-    scores = [s for _, _, s in unpruned_score_pairs(left, right, -1.0, *args)]
+    def cfg(threshold):
+        return FuzzyConfig(
+            threshold=threshold, prefix_scale=scale, max_prefix=max_prefix, boost_floor=floor
+        )
+
+    scores = [m.score for m in unpruned_all_pairs(left, right, cfg(0.0), exclude_exact)]
     thresholds = [0.0, 0.5, 0.85, 1.0]
     if scores:
         # A pair's own score and the float just below it: the pair must be
-        # dropped at the first and kept at the second (strict >).
+        # dropped at the first and kept at the second (strict >). Every
+        # score here is above 0, so both are legal thresholds.
         score = data.draw(st.sampled_from(scores))
         thresholds += [score, math.nextafter(score, -math.inf)]
     for threshold in thresholds:
-        assert _jaro_py.score_pairs(left, right, threshold, *args) == (
-            unpruned_score_pairs(left, right, threshold, *args)
+        assert all_pairs_matches(left, right, cfg(threshold), exclude_exact) == (
+            unpruned_all_pairs(left, right, cfg(threshold), exclude_exact)
         ), threshold
 
 
@@ -269,21 +271,7 @@ def test_pruned_score_pairs_on_criterion_10_corpus():
     mk = lambda tag: [
         f"{rng.choice(words)}-{tag}{i:03d}-{rng.choice(words)}" for i in range(250)
     ]
-    left, right = sorted(mk("a")), sorted(mk("b"))
-    cfg = FuzzyConfig()
-    args = (cfg.threshold, cfg.prefix_scale, cfg.max_prefix, cfg.boost_floor)
-    want = unpruned_score_pairs(left, right, *args)
+    left, right = mk("a"), mk("b")
+    want = unpruned_all_pairs(left, right)
     assert want
-    assert _jaro_py.score_pairs(left, right, *args) == want
-
-
-@pytest.mark.parametrize("scale, max_prefix", [(0.5, 4), (-0.1, 4), (0.1, 2.5)])
-def test_score_pairs_outside_pruning_range_scores_every_pair(scale, max_prefix):
-    # p * scale may leave [0, 1] (or max_prefix is not an integer), so the
-    # bound does not hold and the kernel must fall back to scoring every pair.
-    left = ["abcdx", "abcyz", "zzzz", "", "ab"]
-    right = ["abcdy", "abqqq", "zzzy", "", "a"]
-    for threshold in (-1.0, 0.0, 0.5, 0.9):
-        assert _jaro_py.score_pairs(left, right, threshold, scale, max_prefix) == (
-            unpruned_score_pairs(left, right, threshold, scale, max_prefix)
-        )
+    assert all_pairs_matches(left, right) == want

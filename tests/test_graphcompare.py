@@ -239,14 +239,52 @@ def test_constrained_reduction_counts():
 @given(random_documents(), random_documents())
 @settings(max_examples=60, deadline=None)
 def test_fuzzy_name_pairs_subset_of_all_pairs(dl, dr):
+    # at 0.6 some names_pool pairs match (beta/delta, alpha/kappa, ...); no
+    # pair of them scores above 0.8
     left, right = build_graph(dl), build_graph(dr)
-    cfg = FuzzyConfig(threshold=0.80)
+    cfg = FuzzyConfig(threshold=0.6)
     m = merge_graphs(left, right, cfg)
-    ln = sorted({n.name for n in left.nodes})
-    rn = sorted({n.name for n in right.nodes})
-    allowed = {(ln[i], rn[j]) for i, j, _ in all_pairs_matches(ln, rn, cfg, exclude_exact=True)}
-    for l, r, _ in m.fuzzy_links:
-        assert (left.by_id[l].name, right.by_id[r].name) in allowed
+    ln = {n.name for n in left.nodes}
+    rn = {n.name for n in right.nodes}
+    allowed = {
+        (fm.left, fm.right): fm.score
+        for fm in all_pairs_matches(ln, rn, cfg, exclude_exact=True)
+    }
+    for l, r, score in m.fuzzy_links:
+        assert allowed[(left.by_id[l].name, right.by_id[r].name)] == score
+
+
+def test_phase2_and_all_pairs_share_a_non_default_config():
+    # merge phase 2 and compare --fuzzy score through the same
+    # jaro_winkler(a, b, cfg): under this config the regulator pair gets a
+    # larger prefix bonus than by default, and spacer/spindle (Jaro 0.64,
+    # under the 0.7 floor) gets none
+    cfg = FuzzyConfig(threshold=0.6, prefix_scale=0.25, max_prefix=2, boost_floor=0.7)
+
+    def side(reg, spacer):
+        return doc_from(
+            [comp("app", "app"), comp("ba", "board-alpha"), comp("bb", "board-beta"),
+             comp("reg", reg), comp("sp", spacer)],
+            [("app", "ba", DEP), ("app", "bb", DEP), ("ba", "reg", DEP), ("bb", "sp", DEP)],
+            subject="app",
+        )
+
+    left = build_graph(side("pressure-regulator-mk1", "spacer"))
+    right = build_graph(side("pressure-regulator-mk2", "spindle"))
+    m = merge_graphs(left, right, cfg)
+    links = {(left.by_id[l].name, right.by_id[r].name): s for l, r, s in m.fuzzy_links}
+    assert sorted(links) == [
+        ("pressure-regulator-mk1", "pressure-regulator-mk2"),
+        ("spacer", "spindle"),
+    ]
+    all_pairs = {
+        (fm.left, fm.right): fm.score
+        for fm in all_pairs_matches(["pressure-regulator-mk1", "spacer"],
+                                    ["pressure-regulator-mk2", "spindle"], cfg)
+    }
+    for (a, b), score in links.items():
+        assert score == jaro_winkler(a, b, cfg) == all_pairs[(a, b)]
+        assert score != jaro_winkler(a, b)
 
 
 def test_merge_invariant_under_input_permutation(make_cdx):
