@@ -312,6 +312,8 @@ def run(argv, stdout=None, stderr=None) -> int:
 
 
 def main():
+    # a name may hold a lone surrogate (valid JSON); escape it as stderr does
+    sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(run(sys.argv[1:]))
 
 

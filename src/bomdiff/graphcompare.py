@@ -6,9 +6,12 @@ only between unmatched children of already-matched parents. Everything is
 deterministic under permutation of the source document because nodes,
 edges and children are always enumerated in canonical order.
 
-Both work on node indices: node i is ``nodes[i]`` (canonical order) and
-an edge s -> t of kind k (0 contains, 1 depends-on, as ``.value`` sorts)
-is ``(s * n + t) * 2 + k``; ``edges`` views decode these on first read.
+Both work on node indices: node i is ``nodes[i]``, in the document's
+canonical order, and ``kids[k][s]`` lists the targets of node s's kind-k
+edges (0 contains, 1 depends-on, as ``.value`` sorts) in index order. Each
+edge and each match is stored once; the views over string ids
+(``BomGraph.edges``, ``MergedGraph.pairs`` and the like) are built on first
+read.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from typing import NamedTuple
 from bomdiff.fuzzy import FuzzyConfig, all_pairs_matches, jaro_winkler
 # unused here, but perfbench/traced.py wraps graphcompare.canonical_form
 from bomdiff.model import BomDocument, BomFormat, Component, RelationshipKind, canonical_form  # noqa: F401
+
+_KINDS = (RelationshipKind.CONTAINS, RelationshipKind.DEPENDS_ON)
 
 
 class GraphNode(NamedTuple):
@@ -36,17 +41,12 @@ class GraphNode(NamedTuple):
                 self.component_id or "", self.instance)
 
 
-def _kind(code: int) -> RelationshipKind:
-    return RelationshipKind.DEPENDS_ON if code & 1 else RelationshipKind.CONTAINS
-
-
 @dataclass(frozen=True)
 class BomGraph:
-    """Nodes in canonical order, edges as sorted codes, and ``kids[k]``:
-    node index -> its kind-k targets in index order."""
+    """Nodes in canonical order, and ``kids[k]``: node index -> its kind-k
+    targets in index order, the graph's only copy of its edges."""
 
     nodes: tuple[GraphNode, ...]
-    codes: tuple[int, ...]
     kids: tuple[dict, dict]
     root_index: int
     source_name: str = ""
@@ -62,9 +62,9 @@ class BomGraph:
     @cached_property
     def edges(self) -> tuple:
         ids = [n.id for n in self.nodes]
-        n = len(ids)
-        es = sorted((ids[c // (2 * n)], ids[(c >> 1) % n], c & 1) for c in self.codes)
-        return tuple((s, t, _kind(k)) for s, t, k in es)
+        es = sorted((ids[s], ids[t], k) for k, out in enumerate(self.kids)
+                    for s, ts in out.items() for t in ts)
+        return tuple((s, t, _KINDS[k]) for s, t, k in es)
 
 
 def _extend_reach(start: int, outs, reach: list):
@@ -90,14 +90,14 @@ def build_graph(doc: BomDocument) -> BomGraph:
     each one still unreached (a representative of a cycle no adopted node
     reaches), so everything hangs off the root in one linear sweep.
 
-    The result does not depend on the order of ``doc``'s lists. Sorting
-    the components sorts the nodes. Instance ids (``id#i``, then ``~`` on
-    a clash) can clash only with component ids.
+    The document's components are in canonical order, so its nodes are
+    too. Instance ids (``id#i``, then ``~`` on a clash) can clash only with
+    component ids. A relationship listed twice adds its edges once.
     """
-    comps = sorted(doc.components, key=Component.sort_key)
+    comps = doc.components
     cidx = {c.id: i for i, c in enumerate(comps)}
-    rels = [(cidx[r.source], cidx[r.target], r.kind is RelationshipKind.DEPENDS_ON)
-            for r in doc.relationships]
+    rels = {(cidx[r.source], cidx[r.target], r.kind is RelationshipKind.DEPENDS_ON)
+            for r in doc.relationships}
 
     # A subject of quantity 1 reaches every instance iff it reaches every
     # component: a relationship joins all instances of its two ends.
@@ -118,7 +118,7 @@ def build_graph(doc: BomDocument) -> BomGraph:
 
     # tuple.__new__ skips NamedTuple's Python-level __new__ (0.47 -> 0.19 us a node)
     nodes, spans, node = [], [], tuple.__new__
-    for i, c in enumerate(comps + [None]):  # the root may go last
+    for i, c in enumerate((*comps, None)):  # the root may go last
         if i == slot:
             p = len(nodes)
             nodes.append(root)
@@ -133,15 +133,19 @@ def build_graph(doc: BomDocument) -> BomGraph:
     if root is None:
         p = spans[subject].start
 
+    # spans are disjoint, so distinct relationships give distinct edges
     n = len(nodes)
-    codes = sorted({(s * n + t) * 2 + k
-                    for a, b, k in rels for s in spans[a] for t in spans[b]})
     kids = ({}, {})
-    for c in codes:
-        kids[c & 1].setdefault(c // (2 * n), []).append((c >> 1) % n)
+    for a, b, k in rels:
+        out = kids[k]
+        for s in spans[a]:
+            out.setdefault(s, []).extend(spans[b])
+    for out in kids:
+        for ts in out.values():
+            ts.sort()
 
     if root is not None:
-        targets = {(c >> 1) % n for c in codes}
+        targets = {t for out in kids for ts in out.values() for t in ts}
         adopted = [i for i in range(n) if i not in targets and i != p]
         reach = [i == p for i in range(n)]
         for i in adopted:
@@ -152,10 +156,8 @@ def build_graph(doc: BomDocument) -> BomGraph:
                 _extend_reach(i, kids, reach)
         k = doc.format is not BomFormat.GENERIC_HBOM
         kids[k][p] = sorted(adopted)
-        codes += [(p * n + t) * 2 + k for t in kids[k][p]]
-        codes.sort()  # two sorted runs: a linear merge
 
-    return BomGraph(tuple(nodes), tuple(codes), kids, p, doc.source_name)
+    return BomGraph(tuple(nodes), kids, p, doc.source_name)
 
 
 class MatchStats(NamedTuple):
@@ -170,16 +172,12 @@ class MergedGraph:
     """Partition of both node sets plus fuzzy links between leftovers.
 
     ``lmatch[i]`` is the right node matched to left node i, or -1;
-    ``rmatch`` the converse; ``links`` is ``fuzzy_links`` over indices.
-    Merged node references are ("both", left id) for matched pairs and
-    ("left"|"right", id) for one-sided nodes; ``edges`` re-expresses the
-    edges of both inputs over those references.
+    ``rmatch`` the converse; ``links`` holds the (left index, right index,
+    score) fuzzy links in the order the greedy made them. ``pairs``,
+    ``left_only``, ``right_only`` and ``fuzzy_links`` are views of these
+    over node ids, in index order, built on first read.
     """
 
-    pairs: tuple[tuple[str, str], ...]
-    left_only: tuple[str, ...]
-    right_only: tuple[str, ...]
-    fuzzy_links: tuple[tuple[str, str, float], ...]
     left: BomGraph
     right: BomGraph
     lmatch: list[int]
@@ -187,9 +185,29 @@ class MergedGraph:
     links: tuple
 
     @cached_property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        left, right = self.left.nodes, self.right.nodes
+        return tuple((left[i].id, right[j].id) for i, j in enumerate(self.lmatch) if j >= 0)
+
+    @cached_property
+    def left_only(self) -> tuple[str, ...]:
+        return tuple(n.id for n, j in zip(self.left.nodes, self.lmatch) if j < 0)
+
+    @cached_property
+    def right_only(self) -> tuple[str, ...]:
+        return tuple(n.id for n, i in zip(self.right.nodes, self.rmatch) if i < 0)
+
+    @cached_property
+    def fuzzy_links(self) -> tuple[tuple[str, str, float], ...]:
+        left, right = self.left.nodes, self.right.nodes
+        return tuple((left[i].id, right[j].id, s) for i, j, s in self.links)
+
+    @cached_property
     def ranked(self) -> tuple[list, list, list]:
-        """Each left and right node's reference rank in (tag, id) order,
-        then the merged edges' sorted codes over those ranks."""
+        """Each left and right node's reference rank, where a reference is
+        ("both", left id) for a matched pair and ("left"|"right", id) for a
+        one-sided node, in (tag, id) order; then the merged edges of both
+        inputs as sorted codes ``(s * n + t) * 2 + k`` over those ranks."""
         lm, rm, lrank = self.lmatch, self.rmatch, [0] * len(self.lmatch)
         ids = [n.id for n in self.left.nodes]
         order = sorted(range(len(lm)), key=ids.__getitem__)
@@ -201,23 +219,14 @@ class MergedGraph:
         order = sorted((j for j, i in enumerate(rm) if i < 0), key=ids.__getitem__)
         for r, j in enumerate(order, len(lm)):
             rrank[j] = r
-        n = len(lm) + len(self.right_only)
+        n = len(lm) + rm.count(-1)
         codes = sorted({
-            (rank[c // (2 * m)] * n + rank[(c >> 1) % m]) * 2 + (c & 1)
+            (base + rank[t]) * 2 + k
             for g, rank in ((self.left, lrank), (self.right, rrank))
-            for m in [len(g.nodes)] for c in g.codes
+            for k, out in enumerate(g.kids)
+            for s, ts in out.items() for base in [rank[s] * n] for t in ts
         })
         return lrank, rrank, codes
-
-    @cached_property
-    def edges(self) -> tuple:
-        refs = sorted(
-            [("left" if j < 0 else "both", n.id) for n, j in zip(self.left.nodes, self.lmatch)]
-            + [("right", n.id) for n, i in zip(self.right.nodes, self.rmatch) if i < 0]
-        )  # a reference's index here is its rank
-        n = len(refs)
-        return tuple((refs[c // (2 * n)], refs[(c >> 1) % n], _kind(c))
-                     for c in self.ranked[2])
 
 
 def _free(kids, match: list, name: list) -> dict:
@@ -322,24 +331,12 @@ def merge_graphs(
                 used_r.add(best)
                 links.append((i, best, s))
 
-    lids = [n.id for n in left.nodes]
-    rids = [n.id for n in right.nodes]
-    return MergedGraph(
-        tuple((lids[i], rids[j]) for i, j in matched),
-        tuple(lids[i] for i, j in enumerate(lmatch) if j < 0),
-        tuple(rids[j] for j, i in enumerate(rmatch) if i < 0),
-        tuple((lids[i], rids[j], s) for i, j, s in links),
-        left, right, lmatch, rmatch, tuple(links),
-    )
+    return MergedGraph(left, right, lmatch, rmatch, tuple(links))
 
 
 def match_stats(m: MergedGraph) -> MatchStats:
-    return MatchStats(
-        matched=len(m.pairs),
-        left_only=len(m.left_only),
-        right_only=len(m.right_only),
-        fuzzy=len(m.fuzzy_links),
-    )
+    left_only, right_only = m.lmatch.count(-1), m.rmatch.count(-1)
+    return MatchStats(len(m.lmatch) - left_only, left_only, right_only, len(m.links))
 
 
 def structure_constrained_reduction(
@@ -354,4 +351,4 @@ def structure_constrained_reduction(
     names_l = {n.name for n in left.nodes}
     names_r = {n.name for n in right.nodes}
     unconstrained = len(all_pairs_matches(names_l, names_r, cfg, exclude_exact=True))
-    return unconstrained, len(merge_graphs(left, right, cfg).fuzzy_links)
+    return unconstrained, len(merge_graphs(left, right, cfg).links)

@@ -16,8 +16,9 @@ is, any other goes to a checked helper (``_require``, ``_opt_str``,
 field's JSON path or row. So a path is built only for an error.
 
 Every reader ends in the same normalization pipeline: optional name/ecosystem
-filtering, duplicate collapsing, then canonical ordering, so downstream
-comparison code never sees source-order artifacts.
+filtering, then duplicate collapsing. ``BomDocument`` puts what is left in
+canonical order, so downstream comparison code never sees source-order
+artifacts.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from bomdiff.model import (
     Component,
     Relationship,
     RelationshipKind,
-    canonical_form,
+    # unused here, but perfbench/traced.py wraps ingest.canonical_form
+    canonical_form,  # noqa: F401
 )
 
 
@@ -60,6 +62,8 @@ class IngestOptions:
     drop_name_prefixes: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if isinstance(self.drop_name_prefixes, str):  # would drop by letter
+            raise ValueError("drop_name_prefixes must be a sequence of str, not a str")
         object.__setattr__(
             self, "drop_name_prefixes", tuple(self.drop_name_prefixes)
         )
@@ -900,9 +904,7 @@ def _drop_prefixes(doc: BomDocument, prefixes) -> BomDocument:
 
 def _finish(doc: BomDocument, opts: IngestOptions) -> BomDocument:
     doc = _drop_prefixes(doc, opts.drop_name_prefixes)
-    if opts.dedup:
-        doc = dedup_components(doc)
-    return canonical_form(doc)
+    return dedup_components(doc) if opts.dedup else doc
 
 
 # ----------------------------------------------------------------- loading

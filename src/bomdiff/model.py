@@ -3,12 +3,13 @@
 Every parser produces these types and every comparison consumes them, so the
 rest of the package never has to know which source format a document came
 from. All types are immutable after construction and safe to share across
-threads.
+threads. A ``BomDocument`` keeps its components and relationships in
+canonical order from construction on, so no later layer sorts them again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -123,7 +124,14 @@ _ID, _SOURCE, _TARGET = attrgetter("id"), attrgetter("source"), attrgetter("targ
 
 @dataclass(frozen=True)
 class BomDocument:
-    """A parsed, normalized BOM: components, relationships, and provenance."""
+    """A parsed, normalized BOM: components, relationships, and provenance.
+
+    BOMs are unordered, so two documents that differ only in the order their
+    source files listed things must compare equal and must render
+    identically. Construction sorts components by (name, version, purl, id)
+    and relationships by (source, target, kind), which neutralizes source
+    ordering.
+    """
 
     format: BomFormat
     spec_version: str
@@ -133,10 +141,10 @@ class BomDocument:
     source_name: str
 
     def __post_init__(self):
-        if type(self.components) is not tuple:
-            object.__setattr__(self, "components", tuple(self.components))
-        if type(self.relationships) is not tuple:
-            object.__setattr__(self, "relationships", tuple(self.relationships))
+        object.__setattr__(
+            self, "components", tuple(sorted(self.components, key=Component.sort_key)))
+        object.__setattr__(
+            self, "relationships", tuple(sorted(self.relationships, key=Relationship.sort_key)))
         ids = list(map(_ID, self.components))
         known = set(ids)
         if len(known) != len(ids):
@@ -161,17 +169,6 @@ class BomDocument:
 
 
 def canonical_form(doc: BomDocument) -> BomDocument:
-    """Return ``doc`` with components and relationships in canonical order.
-
-    BOMs are unordered, so two documents that differ only in the order their
-    source files listed things must compare equal and must render identically.
-    Sorting components by (name, version, purl, id) and relationships by
-    (source, target, kind) neutralizes source ordering; the result is
-    idempotent under repeated application.
-    """
-    return replace(
-        doc,
-        components=tuple(sorted(doc.components, key=Component.sort_key)),
-        relationships=tuple(sorted(doc.relationships, key=Relationship.sort_key)),
-    )
-
+    """Return ``doc``: a ``BomDocument`` is in canonical order from
+    construction on (see its docstring)."""
+    return doc

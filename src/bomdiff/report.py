@@ -54,9 +54,8 @@ class DiffReport:
                 return True
         if self.fuzzy:
             return True
-        if self.graph is not None and (
-            self.graph.left_only or self.graph.right_only or self.graph.fuzzy_links
-        ):
+        g = self.graph
+        if g is not None and (-1 in g.lmatch or -1 in g.rmatch or g.links):
             return True
         return any(
             f.category is not ConsistencyCategory.CONSENSUS for f in self.findings

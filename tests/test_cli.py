@@ -435,3 +435,24 @@ def test_output_is_reproducible_across_hash_seeds_and_input_order(tmp_path):
         outputs.append(runs)
     assert outputs[0] == outputs[1]
     assert b"refless" in outputs[0][0] and b"lib3-renamed" in outputs[0][1]
+
+
+@pytest.mark.parametrize("argv", [["graph"], ["graph", "--format", "dot"],
+                                  ["compare", "--fuzzy"]])
+def test_lone_surrogate_name_is_escaped_on_stdout(tmp_path, argv):
+    # "\ud800" is valid JSON but no encoding can write it; stdout escapes it
+    # the way Python's stderr does instead of dying in the middle of a write
+    for side, tail in (("left", "x"), ("right", "y")):
+        (tmp_path / f"{side}.json").write_text(json.dumps({
+            "bomFormat": "CycloneDX", "specVersion": "1.5",
+            "components": [{"bom-ref": "a", "name": f"lib\ud800{tail}"}],
+        }))
+    src = str(Path(bomdiff.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    r = subprocess.run(
+        [sys.executable, "-m", "bomdiff.cli", *argv, "left.json", "right.json"],
+        capture_output=True, cwd=tmp_path, env=env,
+    )
+    assert (r.returncode, r.stderr) == (1, b"")
+    assert b"lib\\ud800x" in r.stdout and b"lib\\ud800y" in r.stdout

@@ -16,7 +16,7 @@ from bomdiff.graphcompare import (
     structure_constrained_reduction,
 )
 from bomdiff.ingest import parse_cyclonedx, parse_hbom
-from bomdiff.model import BomFormat, Relationship, RelationshipKind, canonical_form
+from bomdiff.model import BomFormat, Component, Relationship, RelationshipKind
 from bomdiff.report import (
     DiffReport,
     DotStyle,
@@ -156,10 +156,11 @@ def test_self_merge_is_clean():
 def test_merged_edges_use_side_tagged_refs():
     left, right = build_graph(_tree("l")), build_graph(_tree("r"))
     m = merge_graphs(left, right)
-    sides = {a[0] for a, b, _ in m.edges} | {b[0] for a, b, _ in m.edges}
+    edges = merged_edges(m)
+    sides = {a[0] for a, b, _ in edges} | {b[0] for a, b, _ in edges}
     assert sides <= {"both", "left", "right"}
     both_ids = {l for l, _ in m.pairs}
-    for (sa, ia), (sb, ib), _ in m.edges:
+    for (sa, ia), (sb, ib), _ in edges:
         if sa == "both":
             assert ia in both_ids
 
@@ -326,12 +327,10 @@ def _reachable_oracle(root, edges):
 
 
 def build_graph_oracle(doc):
-    doc = canonical_form(doc)
-
     nodes = []
     instances = {}
     taken = {c.id for c in doc.components}
-    for c in doc.components:
+    for c in sorted(doc.components, key=Component.sort_key):
         if c.quantity == 1:
             ids = [c.id]
         else:
@@ -387,6 +386,17 @@ def build_graph_oracle(doc):
 
 def _graph_view(g):
     return g.nodes, g.edges, g.root, g.source_name
+
+
+def merged_edges(m):
+    """``m.ranked``'s edge codes decoded into (reference, reference, kind)."""
+    refs = sorted(
+        [("left" if j < 0 else "both", n.id) for n, j in zip(m.left.nodes, m.lmatch)]
+        + [("right", n.id) for n, i in zip(m.right.nodes, m.rmatch) if i < 0]
+    )  # a reference's index here is its rank
+    n = len(refs)
+    return tuple((refs[c // (2 * n)], refs[(c >> 1) % n], (CON, DEP)[c & 1])
+                 for c in m.ranked[2])
 
 
 def merged_edges_oracle(m):
@@ -465,17 +475,44 @@ def test_build_graph_matches_round_based_adoption(doc):
 @settings(max_examples=150, deadline=None)
 def test_merged_edges_match_eager_construction(dl, dr):
     m = merge_graphs(build_graph(dl), build_graph(dr), FuzzyConfig(threshold=0.5))
-    assert "edges" not in vars(m)  # built on first read only
-    assert m.edges == merged_edges_oracle(m)
-    assert m.edges is m.edges
+    assert "ranked" not in vars(m)  # built on first read only
+    assert merged_edges(m) == merged_edges_oracle(m)
+    assert m.ranked is m.ranked
+
+
+def merged_views_oracle(m):
+    """The id views as merge_graphs once built them eagerly."""
+    lids = [n.id for n in m.left.nodes]
+    rids = [n.id for n in m.right.nodes]
+    return (
+        tuple((lids[i], rids[j]) for i, j in enumerate(m.lmatch) if j >= 0),
+        tuple(lids[i] for i, j in enumerate(m.lmatch) if j < 0),
+        tuple(rids[j] for j, i in enumerate(m.rmatch) if i < 0),
+        tuple((lids[i], rids[j], s) for i, j, s in m.links),
+    )
+
+
+@given(digraph_documents() | hbom_forests(), digraph_documents() | hbom_forests())
+@settings(max_examples=150, deadline=None)
+def test_match_stats_and_views_match_eager_construction(dl, dr):
+    m = merge_graphs(build_graph(dl), build_graph(dr), FuzzyConfig(threshold=0.5))
+    s = match_stats(m)
+    views = (m.pairs, m.left_only, m.right_only, m.fuzzy_links)
+    assert tuple(s) == tuple(map(len, views))
+    assert views == merged_views_oracle(m)
+    # has_differences once read the views
+    assert DiffReport(("l", "r"), graph=m).has_differences() == bool(
+        m.left_only or m.right_only or m.fuzzy_links)
 
 
 def test_build_graph_accepts_unsorted_input():
     comps = [comp("z", "zeta", quantity=2), comp("a", "alpha"), comp("m", "mu")]
     rels = [("z", "a", DEP), ("a", "m", DEP), ("m", "a", DEP)]
     shuffled = doc_from(comps, rels[::-1])
-    ordered = canonical_form(shuffled)
-    assert shuffled != ordered
+    ordered = doc_from(comps[1:] + comps[:1], sorted(rels, key=lambda r: r[:2]))
+    # the document sorts its lists on construction
+    assert shuffled.components == ordered.components == tuple(comps[1:] + comps[:1])
+    assert shuffled == ordered
     assert build_graph(shuffled) == build_graph(ordered)
     assert _graph_view(build_graph(shuffled)) == build_graph_oracle(shuffled)
 
@@ -773,18 +810,21 @@ def test_to_dot_matches_ref_dict_export(docs, threshold):
 
 
 def test_renderers_never_build_string_edges():
+    # nor the id views of the partition: every command reads the indices
     left, right = build_graph(_tree("l")), build_graph(_tree("r"))
+    views = ("edges", "pairs", "left_only", "right_only", "fuzzy_links")
     for render in (graph_stats_line, to_dot,
                    lambda m: render_json(DiffReport(("l", "r"), graph=m)),
-                   lambda m: render_table(DiffReport(("l", "r"), graph=m))):
+                   lambda m: render_table(DiffReport(("l", "r"), graph=m)),
+                   lambda m: DiffReport(("l", "r"), graph=m).has_differences()):
         m = merge_graphs(left, right)
         assert render(m)
         for x in (left, right, m):
-            assert "edges" not in vars(x)
+            assert not set(views) & set(vars(x))
 
 
 def test_duplicate_relationship_changes_nothing():
-    # BomDocument accepts a relationship listed twice; the edge codes are
+    # BomDocument accepts a relationship listed twice; the edges are
     # deduplicated, with and without a synthetic root
     comps = [comp("top", "top"), comp("a", "a", quantity=2), comp("b", "b", quantity=3)]
     rels = [Relationship("top", "a", CON), Relationship("a", "b", DEP)]
@@ -796,7 +836,8 @@ def test_duplicate_relationship_changes_nothing():
         assert len(twice.relationships) == 3
         g1, g2 = build_graph(once), build_graph(twice)
         assert g1 == g2
-        assert len(g2.codes) == 2 + 6 + (subject is None)
+        assert sum(map(len, (*g2.kids[0].values(), *g2.kids[1].values()))) == (
+            2 + 6 + (subject is None))
         assert _graph_view(g2) == build_graph_oracle(twice)
         for m1, m2 in ((merge_graphs(g1, other), merge_graphs(g2, other)),
                        (merge_graphs(other, g1), merge_graphs(other, g2))):

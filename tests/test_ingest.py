@@ -496,6 +496,15 @@ def test_ingest_options_rejects_empty_prefix():
         IngestOptions(drop_name_prefixes=("",))
 
 
+def test_ingest_options_rejects_a_bare_string(make_cdx):
+    # a str is a sequence of one-letter prefixes: "npm" would drop "pandas"
+    with pytest.raises(ValueError, match="not a str"):
+        IngestOptions(drop_name_prefixes="npm")
+    raw = make_cdx([{"bom-ref": "p", "name": "pandas"}])
+    doc = parse_cyclonedx(raw, IngestOptions(drop_name_prefixes=["npm"]))
+    assert [c.name for c in doc.components] == ["pandas"]
+
+
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=50)
 def test_cyclonedx_parse_is_order_independent(rng):

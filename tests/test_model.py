@@ -11,7 +11,7 @@ from bomdiff.model import (
     RelationshipKind,
     canonical_form,
 )
-from conftest import DEP, comp, doc_from
+from conftest import CON, DEP, comp, doc_from
 
 
 def test_component_coerces_empty_optionals_to_none():
@@ -102,6 +102,7 @@ def test_canonical_form_sorts_components_and_edges():
         [("c", "a", DEP), ("b", "a", DEP)],
     )
     canon = canonical_form(doc)
+    assert canon is doc  # the document sorted its lists on construction
     assert [c.id for c in canon.components] == ["a", "b", "c"]
     assert [(r.source, r.target) for r in canon.relationships] == [
         ("b", "a"),
@@ -115,6 +116,15 @@ def test_canonical_form_ignores_input_order():
     a = doc_from([comp("a"), comp("b")], [("a", "b", DEP)])
     b = doc_from([comp("b"), comp("a")], [("a", "b", DEP)])
     assert canonical_form(a) == canonical_form(b)
+
+
+def test_documents_differing_only_in_list_order_compare_equal():
+    comps = [comp("c", "zz"), comp("b", "aa", version="2"), comp("a", "aa", version="1")]
+    rels = [("c", "a", DEP), ("b", "a", DEP), ("c", "b", CON)]
+    a = doc_from(comps, rels, subject="c")
+    b = doc_from(comps[::-1], rels[::-1], subject="c")
+    assert a == b
+    assert list(a.by_id) == list(b.by_id) == ["a", "b", "c"]
 
 
 def test_by_id_lookup():
