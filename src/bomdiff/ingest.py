@@ -5,15 +5,28 @@ module's only UTF-8 decode: a leading byte-order mark is dropped and
 undecodable bytes are a ``ParseError`` naming the byte offset. ``_loads``
 turns that text into a JSON value, the module's only JSON decode: text too
 deeply nested for the decoder is a ``ParseError``, and text that is not JSON
-comes back as ``_Text`` for the CSV table reader. ``parse_document`` decodes
-once, lets ``detect_format`` look at the decoded value, and hands the same
-value to the parser it picks; with a format hint the parser decodes the
-bytes itself.
+comes back as ``_Text`` for the CSV table reader; under an HBOM format hint
+only text that opens with "{" is decoded as JSON. ``parse_document`` and
+``load_document`` differ only in how they get the decoded value, and both
+hand it to ``_parse``: ``detect_format`` looks at it unless a format is
+hinted, and the parser for the format reads the same value.
+``load_document`` frees the file's bytes before the JSON decode and the
+JSON text before the parse.
 
 Readers take each field once: a value of the expected type is used as it
 is, any other goes to a checked helper (``_require``, ``_opt_str``,
 ``_opt_list``, ``_cell``, ``_hash_pair``) that raises a ParseError at the
-field's JSON path or row. So a path is built only for an error.
+field's JSON path or row. The message's path is built only for an error,
+except the paths of the entries themselves: ``parse_cyclonedx`` builds one
+per component entry and ``parse_spdx`` one per package and relationship.
+
+A parsed document holds each input value once. Every relationship endpoint
+and the subject are their component's id object, and a CycloneDX purl
+equal to its id is the id. Vendors, licenses, hash algorithms, ``extra``
+pairs and whole ``licenses``/``extra`` tuples come from a memo dict that
+maps each value to its first copy. The memo is local to one parse, so no
+value outlives the documents that hold it (``sys.intern`` would keep it).
+A digest that is already lowercase is the decoded string itself.
 
 Every reader ends in the same normalization pipeline: optional name/ecosystem
 filtering, then duplicate collapsing. ``BomDocument`` puts what is left in
@@ -68,8 +81,8 @@ class IngestOptions:
             self, "drop_name_prefixes", tuple(self.drop_name_prefixes)
         )
         for p in self.drop_name_prefixes:
-            if not p:
-                raise ValueError("drop_name_prefixes entries must be non-empty")
+            if not isinstance(p, str) or not p:
+                raise ValueError("drop_name_prefixes entries must be non-empty strings")
 
 
 # ------------------------------------------------------------ read path
@@ -102,10 +115,18 @@ def _loads(text: str) -> object:
         return _Text(text, f"invalid JSON: {e}")
 
 
-def _read(raw) -> object:
+def _value(text: str, format_hint: BomFormat | None) -> object:
+    """The decoded value of text: its JSON value, or ``_Text``. Under an HBOM
+    hint only text that opens with "{" is JSON, and it must be an object."""
+    if format_hint is BomFormat.GENERIC_HBOM:
+        return _json_object(_loads(text)) if text.lstrip().startswith("{") else _Text(text)
+    return _loads(text)
+
+
+def _read(raw, format_hint: BomFormat | None = None) -> object:
     """The decoded value of raw bytes; a decoded value passes through."""
     if isinstance(raw, (bytes, bytearray)):
-        return _loads(_decode(raw))
+        return _value(_decode(raw), format_hint)
     return raw
 
 
@@ -182,10 +203,11 @@ def _hash_pair(h, alg_key: str, digest_key: str, path: str) -> tuple[str, str]:
     return str(alg), str(digest)
 
 
-def _hash_list(items: list, alg_key: str, digest_key: str, path: str, key: str) -> tuple:
+def _hash_list(items: list, alg_key: str, digest_key: str, path: str, key: str,
+               memo: dict) -> tuple:
     """The distinct (algorithm, digest) pairs of the hash objects at
-    ``path.key``, in order: the algorithm uppercased and dash-free, the digest
-    lowercased."""
+    ``path.key``, in order: the algorithm uppercased and dash-free, from
+    ``memo``, the digest lowercased."""
     pairs = []
     for j, h in enumerate(items):
         alg = digest = None
@@ -193,7 +215,9 @@ def _hash_list(items: list, alg_key: str, digest_key: str, path: str, key: str) 
             alg, digest = h.get(alg_key), h.get(digest_key)
         if type(alg) is not str or not alg or type(digest) is not str or not digest:
             alg, digest = _hash_pair(h, alg_key, digest_key, f"{path}.{key}[{j}]")
-        pair = (alg.upper().replace("-", ""), digest.lower())
+        alg = alg.upper().replace("-", "")
+        low = digest.lower()
+        pair = (memo.setdefault(alg, alg), digest if low == digest else low)
         if pair not in pairs:
             pairs.append(pair)
     return tuple(pairs)
@@ -251,15 +275,15 @@ def parse_cyclonedx(
         parent_of.append(None)
         paths.append("$.metadata.component")
 
+    # each id maps to itself, so an edge endpoint becomes the id object
     ids: list[str | None] = [None] * len(entries)
-    taken = set()
+    taken: dict[str, str] = {}
     for i, entry in enumerate(entries):
         ref = entry.get("bom-ref")
         if isinstance(ref, str) and ref:
             if ref in taken:
                 raise ParseError(f"{paths[i]}.bom-ref: duplicate '{ref}'")
-            ids[i] = ref
-            taken.add(ref)
+            ids[i] = taken[ref] = ref
 
     # Refless components get content-derived ids, assigned in content order
     # so permuting the input array cannot change the result.
@@ -286,12 +310,10 @@ def parse_cyclonedx(
         while candidate in taken:
             n += 1
             candidate = f"{base}#{n}"
-        ids[i] = candidate
-        taken.add(candidate)
+        ids[i] = taken[candidate] = candidate
 
-    components = []
-    for i, entry in enumerate(entries):
-        components.append(_cdx_component(entry, ids[i], paths[i]))
+    memo: dict = {}
+    components = [_cdx_component(entry, ids[i], paths[i], memo) for i, entry in enumerate(entries)]
 
     contains = {(ids[p], ids[i]) for i, p in enumerate(parent_of) if p is not None}
     depends = set()
@@ -305,10 +327,12 @@ def parse_cyclonedx(
         if targets is not None and type(targets) is not list:
             targets = _opt_list(dep, "dependsOn", f"$.dependencies[{i}]")
         src = dep.get("ref")
-        if not isinstance(src, str) or src not in taken or not targets:
+        src = taken.get(src) if isinstance(src, str) else None
+        if src is None or not targets:
             continue  # a dangling source is unusable; no targets add nothing
         for tgt in targets:
-            if isinstance(tgt, str) and tgt in taken and tgt != src:
+            tgt = taken.get(tgt) if isinstance(tgt, str) else None
+            if tgt is not None and tgt != src:
                 depends.add((src, tgt))
 
     subject_id = ids[-1] if subject_entry is not None else None
@@ -371,8 +395,8 @@ def _subtree_keys(
 _CDX_EXTRA = (("group", "cdx:group"), ("scope", "cdx:scope"), ("type", "cdx:type"))
 
 
-def _cdx_component(entry: dict, cid: str, path: str) -> Component:
-    get = entry.get
+def _cdx_component(entry: dict, cid: str, path: str, memo: dict) -> Component:
+    get, share = entry.get, memo.setdefault
     name = get("name")
     if type(name) is not str or not name:
         name = _require(entry, "name", path)
@@ -385,6 +409,8 @@ def _cdx_component(entry: dict, cid: str, path: str) -> Component:
         vendor = supplier.get("name")
         if vendor is not None and (type(vendor) is not str or not vendor):
             vendor = _opt_str(supplier, "name", f"{path}.supplier")
+        if vendor is not None:
+            vendor = share(vendor, vendor)
 
     licenses = ()
     items = get("licenses")
@@ -401,30 +427,36 @@ def _cdx_component(entry: dict, cid: str, path: str) -> Component:
             else:
                 value = lic.get("expression")
             if isinstance(value, str) and value and value not in found:
-                found.append(value)
+                found.append(share(value, value))
         licenses = tuple(found)
+        licenses = share(licenses, licenses)
 
     hashes = ()
     items = get("hashes")
     if items is not None:
         if type(items) is not list:
             items = _opt_list(entry, "hashes", path)
-        hashes = _hash_list(items, "alg", "content", path, "hashes")
+        hashes = _hash_list(items, "alg", "content", path, "hashes", memo)
 
     extra = []
     for key, label in _CDX_EXTRA:
         value = get(key)
         if isinstance(value, str) and value:
-            extra.append((label, value))
+            pair = (label, value)
+            extra.append(share(pair, pair))
+    extra = tuple(extra)
 
     version, purl, cpe = get("version"), get("purl"), get("cpe")
     if version is not None and (type(version) is not str or not version):
         version = _opt_str(entry, "version", path)
     if purl is not None and (type(purl) is not str or not purl):
         purl = _opt_str(entry, "purl", path)
+    if purl == cid:
+        purl = cid
     if cpe is not None and (type(cpe) is not str or not cpe):
         cpe = _opt_str(entry, "cpe", path)
-    return Component(cid, name, version, purl, cpe, vendor, licenses, hashes, 1, tuple(extra))
+    return Component(cid, name, version, purl, cpe, vendor, licenses, hashes, 1,
+                     share(extra, extra))
 
 
 # --------------------------------------------------------------------- SPDX
@@ -442,8 +474,10 @@ def parse_spdx(
     if not isinstance(packages, list):
         raise ParseError("$.packages: expected an array")
 
+    # each SPDXID maps to itself, so an edge endpoint becomes the id object
+    ids: dict[str, str] = {}
     parsed: dict[str, dict] = {}
-    order: list[str] = []
+    memo: dict = {}
     for i, pkg in enumerate(packages):
         path = f"$.packages[{i}]"
         if not isinstance(pkg, dict):
@@ -453,8 +487,8 @@ def parse_spdx(
             raise ParseError(f"{path}.SPDXID: expected a string")
         if sid in parsed:
             raise ParseError(f"{path}.SPDXID: duplicate '{sid}'")
-        parsed[sid] = _spdx_fields(pkg, path)
-        order.append(sid)
+        parsed[sid] = _spdx_fields(pkg, path, memo)
+        ids[sid] = sid
 
     contains, depends = set(), set()
     subject_id = None
@@ -464,13 +498,13 @@ def parse_spdx(
         if not isinstance(rel, dict):
             raise ParseError(f"{path}: expected an object")
         rtype = str(_require(rel, "relationshipType", path))
-        a = _opt_str(rel, "spdxElementId", path)
-        b = _opt_str(rel, "relatedSpdxElement", path)
+        a = ids.get(_opt_str(rel, "spdxElementId", path))
+        b = ids.get(_opt_str(rel, "relatedSpdxElement", path))
         if rtype == "DESCRIBES":
-            if subject_id is None and b in parsed:
+            if subject_id is None:
                 subject_id = b
             continue
-        if a not in parsed or b not in parsed or a == b:
+        if a is None or b is None or a == b:
             continue
         if rtype == "DEPENDS_ON":
             depends.add((a, b))
@@ -485,13 +519,12 @@ def parse_spdx(
             for j, sid in enumerate(described):
                 if not isinstance(sid, str):
                     raise ParseError(f"$.documentDescribes[{j}]: expected a string")
-                if sid in parsed:
-                    subject_id = sid
+                if sid in ids:
+                    subject_id = ids[sid]
                     break
 
     components = []
-    for sid in order:
-        fields = parsed[sid]
+    for sid, fields in parsed.items():
         extra = fields.pop("extra")
         if sid in rel_extra:
             extra = (*extra, *((f"relationship:{rtype}", ",".join(sorted(targets)))
@@ -512,8 +545,8 @@ def parse_spdx(
 _NO_VALUE = ("NOASSERTION", "NONE")
 
 
-def _spdx_fields(pkg: dict, path: str) -> dict:
-    get = pkg.get
+def _spdx_fields(pkg: dict, path: str, memo: dict) -> dict:
+    get, share = pkg.get, memo.setdefault
     name = get("name")
     if type(name) is not str or not name:
         name = _require(pkg, "name", path)
@@ -549,20 +582,23 @@ def _spdx_fields(pkg: dict, path: str) -> dict:
             head, sep, tail = vendor.partition(":")
             if sep and head.strip() in ("Organization", "Person"):
                 vendor = tail.strip() or None
+        if vendor is not None:
+            vendor = share(vendor, vendor)
 
     licenses = []
     for key in ("licenseConcluded", "licenseDeclared"):
         value = get(key)
         if isinstance(value, str) and value and value not in _NO_VALUE:
             if value not in licenses:
-                licenses.append(value)
+                licenses.append(share(value, value))
+    licenses = tuple(licenses)
 
     hashes = ()
     items = get("checksums")
     if items is not None:
         if type(items) is not list:
             items = _opt_list(pkg, "checksums", path)
-        hashes = _hash_list(items, "algorithm", "checksumValue", path, "checksums")
+        hashes = _hash_list(items, "algorithm", "checksumValue", path, "checksums", memo)
 
     version = get("versionInfo")
     if version is not None and (type(version) is not str or not version):
@@ -573,7 +609,7 @@ def _spdx_fields(pkg: dict, path: str) -> dict:
         "purl": purl,
         "cpe": cpe,
         "vendor": vendor,
-        "licenses": tuple(licenses),
+        "licenses": share(licenses, licenses),
         "hashes": hashes,
         "extra": (),
     }
@@ -608,7 +644,9 @@ def parse_hbom(
             )
 
     components = list(by_ref.values())
-    edges = [(parent, ref, RelationshipKind.CONTAINS) for ref, parent in parent_ref.items()]
+    # the parent's own ref object, so an edge endpoint is the component id
+    edges = [(by_ref[parent].id, ref, RelationshipKind.CONTAINS)
+             for ref, parent in parent_ref.items()]
 
     if opts.fold_quantities:
         components, edges = _fold_quantities(components, edges)
@@ -633,6 +671,7 @@ def _hbom_components(rows) -> tuple[dict[str, Component], dict[str, str], dict[s
     by_ref: dict[str, Component] = {}
     parent_ref: dict[str, str] = {}
     row_no: dict[str, int] = {}
+    share = {}.setdefault  # one object per repeated value of this table
     for n, row in rows:
         get = row.get
         ref, name = get("ref"), get("name")
@@ -679,11 +718,13 @@ def _hbom_components(rows) -> tuple[dict[str, Component], dict[str, str], dict[s
             if k not in _HBOM_COLUMNS and v is not None:
                 v = str(v).strip()
                 if v:
-                    extra.append((k, v))
+                    pair = (k, v)
+                    extra.append(share(pair, pair))
+        extra = tuple(extra)
         vendor = get("vendor")
         vendor = vendor.strip() if type(vendor) is str else _cell(row, "vendor", n)
-        by_ref[ref] = Component(ref, name, None, None, None, vendor or None,
-                                (), (), quantity, tuple(extra))
+        by_ref[ref] = Component(ref, name, None, None, None, share(vendor, vendor) or None,
+                                (), (), quantity, share(extra, extra))
         row_no[ref] = n
     return by_ref, parent_ref, row_no
 
@@ -721,10 +762,7 @@ def _cell(row: dict, key: str, n: int) -> str:
 
 
 def _hbom_rows(raw) -> list[tuple[int, dict]]:
-    if isinstance(raw, (bytes, bytearray)):
-        # Undetected bytes: a leading "{" marks the JSON layout.
-        text = _decode(raw)
-        raw = _json_object(_loads(text)) if text.lstrip().startswith("{") else _Text(text)
+    raw = _read(raw, BomFormat.GENERIC_HBOM)
     if not isinstance(raw, _Text):
         items = _json_object(raw).get("hbom")
         if not isinstance(items, list):
@@ -757,12 +795,24 @@ def _csv_table(text: str) -> tuple[csv.DictReader, list[str] | None]:
     """A row reader over CSV text and its header: the first record, cells
     stripped, or None. Detection and the HBOM parser both read it here, so
     they agree on what a ref/name table is."""
-    reader = csv.DictReader(io.StringIO(text))
+    lines = io.StringIO(text)
+    if "\0" in text:
+        lines = _refuse_nul(lines)
+    reader = csv.DictReader(lines)
     try:
         names = reader.fieldnames
     except csv.Error as e:
         raise ParseError(f"row 1: {e}") from None
     return reader, None if names is None else [h.strip() for h in names]
+
+
+def _refuse_nul(lines):
+    """The lines, refusing one that holds a NUL as the ``csv`` module did
+    before Python 3.11, which reads NUL as data."""
+    for line in lines:
+        if "\0" in line:
+            raise csv.Error("line contains NUL")
+        yield line
 
 
 def _fold_quantities(components, edges):
@@ -917,16 +967,20 @@ _PARSERS = {
 }
 
 
+def _parse(value, opts: IngestOptions, source_name: str,
+           format_hint: BomFormat | None) -> BomDocument:
+    """The document of a decoded value, by the hinted or the detected format."""
+    fmt = detect_format(value) if format_hint is None else format_hint
+    return _PARSERS[fmt](value, opts, source_name)
+
+
 def parse_document(
     raw: bytes,
     opts: IngestOptions = IngestOptions(),
     source_name: str = "",
     format_hint: BomFormat | None = None,
 ) -> BomDocument:
-    if format_hint is not None:
-        return _PARSERS[format_hint](raw, opts, source_name)
-    value = _read(raw)
-    return _PARSERS[detect_format(value)](value, opts, source_name)
+    return _parse(_read(raw, format_hint), opts, source_name, format_hint)
 
 
 def load_document(
@@ -934,5 +988,10 @@ def load_document(
     opts: IngestOptions = IngestOptions(),
     format_hint: BomFormat | None = None,
 ) -> BomDocument:
-    p = Path(path)
-    return parse_document(p.read_bytes(), opts, str(path), format_hint)
+    # Each form of the input is only the argument of the call that consumes
+    # it, so the bytes are freed before the JSON decode and the JSON text
+    # before the parse. A name bound to either, or one more call passing it
+    # down (Python 3.10 holds a call's arguments until it returns), would
+    # keep it to the end.
+    value = _value(_decode(Path(path).read_bytes()), format_hint)
+    return _parse(value, opts, str(path), format_hint)

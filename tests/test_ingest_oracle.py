@@ -355,7 +355,7 @@ _HBOM_ROW = _obj(
 def test_cdx_component_matches_old_reader(entry, k):
     path = f"$.components[{k}]"
     old = _outcome(old_cdx_component, entry, "id", path)
-    new = _outcome(ingest._cdx_component, entry, "id", path)
+    new = _outcome(ingest._cdx_component, entry, "id", path, {})
     assert _same(old, new), (old, new)
 
 
@@ -364,7 +364,7 @@ def test_cdx_component_matches_old_reader(entry, k):
 def test_spdx_fields_match_old_reader(pkg, k):
     path = f"$.packages[{k}]"
     old = _outcome(old_spdx_fields, pkg, path)
-    new = _outcome(ingest._spdx_fields, pkg, path)
+    new = _outcome(ingest._spdx_fields, pkg, path, {})
     assert old == new, (old, new)
     if old[0] == "ok":
         assert _values(OldComponent(id="id", **old[1])) == _values(Component(id="id", **new[1]))
@@ -425,7 +425,7 @@ def test_component_matches_old_post_init(cid, name, version, purl, cpe, vendor,
     ],
 )
 def test_cdx_component_messages(entry, message):
-    for read in (old_cdx_component, ingest._cdx_component):
+    for read in (old_cdx_component, lambda *a: ingest._cdx_component(*a, {})):
         with pytest.raises(ParseError) as e:
             read(entry, "id", "$.components[3]")
         assert str(e.value) == message
@@ -447,7 +447,7 @@ def test_cdx_component_messages(entry, message):
     ],
 )
 def test_spdx_fields_messages(pkg, message):
-    for read in (old_spdx_fields, ingest._spdx_fields):
+    for read in (old_spdx_fields, lambda *a: ingest._spdx_fields(*a, {})):
         with pytest.raises(ParseError) as e:
             read(pkg, "$.packages[3]")
         assert str(e.value) == message
