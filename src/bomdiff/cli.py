@@ -125,18 +125,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threshold(args) -> float:
-    if getattr(args, "threshold", None) is not None:
-        return args.threshold
+def _fuzzy_config(args) -> fuzzy.FuzzyConfig:
+    """--threshold, else BOMDIFF_THRESHOLD, else FuzzyConfig's default."""
+    threshold = args.threshold
     env = os.environ.get("BOMDIFF_THRESHOLD")
-    if env:
+    if threshold is None and env:
         try:
-            return float(env)
+            threshold = float(env)
         except ValueError:
-            raise fuzzy.ConfigError(
-                f"BOMDIFF_THRESHOLD={env!r} is not a number"
-            ) from None
-    return 0.85
+            raise fuzzy.ConfigError(f"BOMDIFF_THRESHOLD={env!r} is not a number") from None
+    return fuzzy.FuzzyConfig() if threshold is None else fuzzy.FuzzyConfig(threshold=threshold)
 
 
 def _load(args, *paths) -> tuple:
@@ -164,10 +162,9 @@ def _emit(out, args, text: str):
     out.write(text)
 
 
-def _cmd_inspect(args, out) -> int:
+def _cmd_inspect(args):
     (doc,) = _load(args, args.file)
-    _emit(out, args, report.render_summary(doc))
-    return 0
+    return report.render_summary(doc), None
 
 
 def _compare_report(args, left, right) -> report.DiffReport:
@@ -180,12 +177,11 @@ def _compare_report(args, left, right) -> report.DiffReport:
     field_diffs = {sel: diff_fn(lvals[sel], rvals[sel]) for sel in fields}
     matches = ()
     if args.fuzzy:
-        cfg = fuzzy.FuzzyConfig(threshold=_threshold(args))
         matches = tuple(
             fuzzy.all_pairs_matches(
                 set(lvals[FieldSelector.NAME]),
                 set(rvals[FieldSelector.NAME]),
-                cfg,
+                _fuzzy_config(args),
                 exclude_exact=args.exclude_exact,
             )
         )
@@ -201,57 +197,40 @@ def _compare_report(args, left, right) -> report.DiffReport:
     )
 
 
-def _cmd_compare(args, out) -> int:
+def _cmd_compare(args):
     left, right = _load_two(args)
     rep = _compare_report(args, left, right)
-    if args.format == "json":
-        _emit(out, args, report.render_json(rep))
-    else:
-        _emit(out, args, report.render_table(rep))
-    return 1 if rep.has_differences() else 0
+    render = report.render_json if args.format == "json" else report.render_table
+    return render(rep), rep
 
 
-def _cmd_graph(args, out) -> int:
+def _cmd_graph(args):
     left, right = _load_two(args)
-    cfg = fuzzy.FuzzyConfig(threshold=_threshold(args))
+    cfg = _fuzzy_config(args)
     gl = graphcompare.build_graph(left)
     gr = graphcompare.build_graph(right)
     merged = graphcompare.merge_graphs(gl, gr, cfg)
-
-    rep = report.DiffReport(
-        source_names=(left.source_name, right.source_name), graph=merged
-    )
+    rep = report.DiffReport((left.source_name, right.source_name), graph=merged)
     if args.stats:
-        _emit(out, args, report.graph_stats_line(merged))
-    elif args.format == "dot":
-        _emit(out, args, report.to_dot(merged))
-    elif args.format == "json":
-        _emit(out, args, report.render_json(rep))
-    else:
-        _emit(out, args, report.render_table(rep))
-    return 1 if rep.has_differences() else 0
+        return report.graph_stats_line(merged), rep
+    if args.format == "dot":
+        return report.to_dot(merged), rep
+    render = report.render_json if args.format == "json" else report.render_table
+    return render(rep), rep
 
 
-def _cmd_orgs(args, out) -> int:
+def _cmd_orgs(args):
     left, right = _load_two(args)
-    excludes = [] if args.no_default_excludes else list(
-        flatcompare.JAVA_STDLIB_ORG_PREFIXES
-    )
-    if args.exclude:
-        excludes.extend(args.exclude)
+    excludes = () if args.no_default_excludes else flatcompare.JAVA_STDLIB_ORG_PREFIXES
+    delta = flatcompare.organization_delta(left, right, excludes + tuple(args.exclude or ()))
     rep = report.DiffReport(
         source_names=(left.source_name, right.source_name),
-        field_diffs={
-            FieldSelector.ORGANIZATION: flatcompare.organization_delta(
-                left, right, tuple(excludes)
-            )
-        },
+        field_diffs={FieldSelector.ORGANIZATION: delta},
     )
-    _emit(out, args, report.render_orgs(rep))
-    return 1 if rep.has_differences() else 0
+    return report.render_orgs(rep), rep
 
 
-def _cmd_licenses(args, out) -> int:
+def _cmd_licenses(args):
     left, right = _load_two(args)
     lvals = flatcompare.extract_field(left, FieldSelector.LICENSE)
     rvals = flatcompare.extract_field(right, FieldSelector.LICENSE)
@@ -260,14 +239,11 @@ def _cmd_licenses(args, out) -> int:
         field_diffs={FieldSelector.LICENSE: flatcompare.multiset_diff(lvals, rvals)},
     )
     if args.format == "json":
-        _emit(out, args, report.render_json(rep))
-        return 1 if rep.has_differences() else 0
-
+        return report.render_json(rep), rep
     coverage = tuple(
         flatcompare.field_coverage(doc, FieldSelector.LICENSE) for doc in (left, right)
     )
-    _emit(out, args, report.render_licenses(rep, coverage))
-    return 1 if rep.has_differences() else 0
+    return report.render_licenses(rep, coverage), rep
 
 
 _COMMANDS = {
@@ -296,7 +272,10 @@ def run(argv, stdout=None, stderr=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _COMMANDS[args.command](args, out)
+        # each command returns its text and its DiffReport (None for inspect)
+        text, rep = _COMMANDS[args.command](args)
+        _emit(out, args, text)
+        return 1 if rep is not None and rep.has_differences() else 0
     except (ingest.ParseError, ingest.UnknownFormatError) as e:
         err.write(f"error: {e}\n")
         return PARSE_ERROR

@@ -187,6 +187,18 @@ class ConsistencyFinding:
     detail: str
 
 
+# (category, detail format) of each finding; the index is the category's rank
+# in the output.
+_FINDINGS = (
+    (ConsistencyCategory.CONSENSUS,
+     "name '{}' agrees on at least one digest ({} pair(s))"),
+    (ConsistencyCategory.DIFFERENT_NAME_SAME_HASH,
+     "digest {} appears under different names ({} pair(s))"),
+    (ConsistencyCategory.SAME_NAME_DIFFERENT_HASH,
+     "name '{}' has no digest in common ({} pair(s))"),
+)
+
+
 def cross_field_consistency(
     left: BomDocument, right: BomDocument
 ) -> list[ConsistencyFinding]:
@@ -211,61 +223,34 @@ def cross_field_consistency(
             for h in rc.hashes:
                 by_digest.setdefault(h, []).append(rc)
 
-    consensus: dict[str, tuple[set, set, int]] = {}
-    sndh: dict[str, tuple[set, set, int]] = {}
-    dnsh: dict[str, tuple[set, set, int]] = {}
+    # one tally per (rank in _FINDINGS, name or digest); sorted, the keys
+    # give the findings in category order, then by name or digest
+    tallies: dict[tuple[int, str], tuple[set, set, int]] = {}
 
-    def tally(bucket, key, lid, rid):
-        ls, rs, n = bucket.get(key, (set(), set(), 0))
+    def tally(key, lid, rid):
+        ls, rs, n = tallies.get(key, (set(), set(), 0))
         ls.add(lid)
         rs.add(rid)
-        bucket[key] = (ls, rs, n + 1)
+        tallies[key] = (ls, rs, n + 1)
 
     for lc in left.components:
         if not lc.hashes:
             continue
         lset = set(lc.hashes)
         for rc in by_name.get(lc.name, ()):
-            if lset.isdisjoint(rc.hashes):
-                tally(sndh, lc.name, lc.id, rc.id)
-            else:
-                tally(consensus, lc.name, lc.id, rc.id)
+            rank = 2 if lset.isdisjoint(rc.hashes) else 0
+            tally((rank, lc.name), lc.id, rc.id)
         # hashes are unique per component, so each (pair, digest) is
         # tallied once, as a full pairwise scan would
         for alg, digest in lc.hashes:
             for rc in by_digest.get((alg, digest), ()):
                 if rc.name != lc.name:
-                    tally(dnsh, f"{alg}:{digest}", lc.id, rc.id)
+                    tally((1, f"{alg}:{digest}"), lc.id, rc.id)
 
     findings = []
-    for name in sorted(consensus):
-        ls, rs, n = consensus[name]
-        findings.append(
-            ConsistencyFinding(
-                ConsistencyCategory.CONSENSUS,
-                tuple(sorted(ls)),
-                tuple(sorted(rs)),
-                f"name '{name}' agrees on at least one digest ({n} pair(s))",
-            )
-        )
-    for key in sorted(dnsh):
-        ls, rs, n = dnsh[key]
-        findings.append(
-            ConsistencyFinding(
-                ConsistencyCategory.DIFFERENT_NAME_SAME_HASH,
-                tuple(sorted(ls)),
-                tuple(sorted(rs)),
-                f"digest {key} appears under different names ({n} pair(s))",
-            )
-        )
-    for name in sorted(sndh):
-        ls, rs, n = sndh[name]
-        findings.append(
-            ConsistencyFinding(
-                ConsistencyCategory.SAME_NAME_DIFFERENT_HASH,
-                tuple(sorted(ls)),
-                tuple(sorted(rs)),
-                f"name '{name}' has no digest in common ({n} pair(s))",
-            )
-        )
+    for (rank, key), (ls, rs, n) in sorted(tallies.items()):
+        category, detail = _FINDINGS[rank]
+        findings.append(ConsistencyFinding(
+            category, tuple(sorted(ls)), tuple(sorted(rs)), detail.format(key, n)
+        ))
     return findings

@@ -1,5 +1,10 @@
 """Name similarity scoring: Jaro, Jaro-Winkler, and all-pairs matching.
 
+The prefix bonus uses Winkler's fixed scale 0.1 over at most 4 characters
+(W. E. Winkler, "String Comparator Metrics and Enhanced Decision Rules in the
+Fellegi-Sunter Model of Record Linkage", 1990); ``FuzzyConfig`` sets only the
+threshold and the Jaro floor that may withhold the bonus.
+
 ``all_pairs_matches`` skips every pair whose upper bound on the Jaro-Winkler
 score cannot exceed the threshold (the length and character filter of
 Dressler & Ngonga Ngomo, "On the efficient execution of bounded Jaro-Winkler
@@ -21,6 +26,10 @@ BACKEND = "pure"
 # skip a pair whose computed score is above the threshold.
 _MARGIN = 1e-9
 
+# Winkler's prefix scale and cap: prefix * scale <= 0.4, so scores stay in [0, 1].
+_PREFIX_SCALE = 0.1
+_MAX_PREFIX = 4
+
 
 class ConfigError(ValueError):
     """Raised for fuzzy-matching parameters outside their legal ranges."""
@@ -29,8 +38,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class FuzzyConfig:
     threshold: float = 0.85
-    prefix_scale: float = 0.1
-    max_prefix: int = 4
     # 0.0 applies the prefix bonus unconditionally; Winkler's original
     # variant gated it on a base score of at least 0.7.
     boost_floor: float = 0.0
@@ -38,19 +45,6 @@ class FuzzyConfig:
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
-        if not 0.0 <= self.prefix_scale <= 0.25:
-            raise ConfigError(f"prefix_scale {self.prefix_scale} outside [0, 0.25]")
-        # the pruning bound of all_pairs_matches needs an integer max_prefix
-        # (a float would make jaro_winkler round the prefix cap up); bool is
-        # an int subclass
-        if not isinstance(self.max_prefix, int) or isinstance(self.max_prefix, bool):
-            raise ConfigError(f"max_prefix {self.max_prefix!r} is not an integer")
-        if self.max_prefix < 0:
-            raise ConfigError(f"max_prefix {self.max_prefix} is negative")
-        if self.max_prefix * self.prefix_scale > 1.0:
-            raise ConfigError(
-                "max_prefix * prefix_scale exceeds 1; scores could leave [0, 1]"
-            )
 
 
 @dataclass(frozen=True)
@@ -109,23 +103,22 @@ def jaro(s1: str, s2: str) -> float:
 
 
 def jaro_winkler(s1: str, s2: str, cfg: FuzzyConfig = FuzzyConfig()) -> float:
-    """Jaro similarity plus a common-prefix bonus of p * scale * (1 - jaro).
+    """Jaro similarity plus a common-prefix bonus of p * 0.1 * (1 - jaro).
 
-    p is the common prefix, capped at cfg.max_prefix characters, and scale
-    is cfg.prefix_scale. With cfg.boost_floor > 0 the bonus applies only
-    when the base Jaro score reaches the floor (Winkler's original variant
-    used 0.7).
+    p is the common prefix, capped at 4 characters. With cfg.boost_floor > 0
+    the bonus applies only when the base Jaro score reaches the floor
+    (Winkler's original variant used 0.7).
     """
     j = jaro(s1, s2)
     if cfg.boost_floor > 0.0 and j < cfg.boost_floor:
         return j
     limit = len(s1) if len(s1) < len(s2) else len(s2)
-    if limit > cfg.max_prefix:
-        limit = cfg.max_prefix
+    if limit > _MAX_PREFIX:
+        limit = _MAX_PREFIX
     prefix = 0
     while prefix < limit and s1[prefix] == s2[prefix]:
         prefix += 1
-    return j + prefix * cfg.prefix_scale * (1.0 - j)
+    return j + prefix * _PREFIX_SCALE * (1.0 - j)
 
 
 def _char_masks(names: list[str], bits: dict) -> list[int]:
@@ -165,14 +158,14 @@ def all_pairs_matches(
     bound on its score cannot exceed the threshold. Jaro's match count m is
     at most the number of shared characters, counted with multiplicity, so
     Jaro <= (m/len1 + m/len2 + 1) / 3, and Jaro is 0 when m is 0. With the
-    pair's common prefix p (capped at max_prefix), the score is at most that
-    bound plus p * prefix_scale * (1 - bound), whether or not boost_floor
-    withholds the bonus. The bound holds because Jaro-Winkler rises with
-    Jaro while 0 <= p * prefix_scale <= 1, which ``FuzzyConfig`` enforces.
+    pair's common prefix p (capped at 4), the score is at most that bound
+    plus p * 0.1 * (1 - bound), whether or not boost_floor withholds the
+    bonus. The bound holds because Jaro-Winkler rises with Jaro while
+    0 <= p * 0.1 <= 0.4, which holds by construction.
     """
     ls = sorted(left)
     rs = sorted(right)
-    threshold, scale, cap = cfg.threshold, cfg.prefix_scale, cfg.max_prefix
+    threshold, scale, cap = cfg.threshold, _PREFIX_SCALE, _MAX_PREFIX
     cutoff = threshold - _MARGIN
     bits: dict = {}
     left_masks = _char_masks(ls, bits)

@@ -234,6 +234,12 @@ def _purl_type(purl: str):
 # ---------------------------------------------------------------- CycloneDX
 
 
+# The deepest CycloneDX component nesting read. The JSON decoder's own limit
+# varies with the Python version (497 levels on 3.10 and 3.11, 748 on 3.12,
+# 4998 on 3.13); below all of them, this one gives the same result on each.
+MAX_NESTING_DEPTH = 480
+
+
 def parse_cyclonedx(
     raw, opts: IngestOptions = IngestOptions(), source_name: str = ""
 ) -> BomDocument:
@@ -249,15 +255,19 @@ def parse_cyclonedx(
     paths: list[str] = []
 
     # Pre-order, with an explicit stack so nesting depth costs no recursion;
-    # every child is numbered after its parent.
-    def children(items, parent_idx, path):
+    # every child is numbered after its parent. Top-level entries are at
+    # depth 1.
+    def children(items, parent_idx, path, depth):
         if not isinstance(items, list):
             raise ParseError(f"{path}: expected an array")
-        return [(e, parent_idx, f"{path}[{i}]") for i, e in reversed(list(enumerate(items)))]
+        if items and depth > MAX_NESTING_DEPTH:
+            raise ParseError("$: JSON nested too deeply to decode")
+        return [(e, parent_idx, f"{path}[{i}]", depth)
+                for i, e in reversed(list(enumerate(items)))]
 
-    stack = children(data.get("components", []), None, "$.components")
+    stack = children(data.get("components", []), None, "$.components", 1)
     while stack:
-        entry, parent_idx, here = stack.pop()
+        entry, parent_idx, here, depth = stack.pop()
         if not isinstance(entry, dict):
             raise ParseError(f"{here}: expected an object")
         entries.append(entry)
@@ -265,7 +275,7 @@ def parse_cyclonedx(
         paths.append(here)
         nested = entry.get("components")
         if nested is not None:
-            stack += children(nested, len(entries) - 1, f"{here}.components")
+            stack += children(nested, len(entries) - 1, f"{here}.components", depth + 1)
 
     subject_entry = None
     meta = data.get("metadata")
@@ -712,7 +722,8 @@ def _hbom_components(rows) -> tuple[dict[str, Component], dict[str, str], dict[s
         if parent:
             parent_ref[ref] = parent
 
-        # Component sorts extra; keys are unique, so this is by key.
+        # Sorted here (by key, as keys are unique), so Component keeps the
+        # tuple and equal extras share one.
         extra = []
         for k, v in row.items():
             if k not in _HBOM_COLUMNS and v is not None:
@@ -720,7 +731,7 @@ def _hbom_components(rows) -> tuple[dict[str, Component], dict[str, str], dict[s
                 if v:
                     pair = (k, v)
                     extra.append(share(pair, pair))
-        extra = tuple(extra)
+        extra = tuple(sorted(extra))
         vendor = get("vendor")
         vendor = vendor.strip() if type(vendor) is str else _cell(row, "vendor", n)
         by_ref[ref] = Component(ref, name, None, None, None, share(vendor, vendor) or None,
@@ -779,6 +790,10 @@ def _hbom_rows(raw) -> list[tuple[int, dict]]:
         raise ParseError("row 1: missing CSV header")
     if "ref" not in header or "name" not in header:
         raise ParseError("row 1: CSV header must include 'ref' and 'name'")
+    # a repeated name would drop all but its last cell; empty names may repeat
+    for column, n in Counter(h for h in header if h).items():
+        if n > 1:
+            raise ParseError(f"row 1: duplicate column '{column}'")
     out = []
     try:
         for row in reader:

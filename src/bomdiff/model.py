@@ -92,7 +92,9 @@ class Component:
             object.__setattr__(self, "hashes", hashes)
         extra = _pairs(self.extra)
         if len(extra) > 1:
-            extra = tuple(sorted(extra))
+            ordered = tuple(sorted(extra))
+            if ordered != extra:  # keep a sorted extra, which a parser may share
+                extra = ordered
         if extra is not self.extra:
             object.__setattr__(self, "extra", extra)
         if len(hashes) > 1 and len(set(hashes)) != len(hashes):

@@ -150,22 +150,6 @@ def test_config_validation():
         FuzzyConfig(threshold=1.5)
     with pytest.raises(ConfigError):
         FuzzyConfig(threshold=-0.1)
-    with pytest.raises(ConfigError):
-        FuzzyConfig(prefix_scale=0.3)
-    with pytest.raises(ConfigError):
-        FuzzyConfig(prefix_scale=-0.1)
-    with pytest.raises(ConfigError):
-        FuzzyConfig(max_prefix=-1)
-    # each in range, product out of range: score could pass 1
-    with pytest.raises(ConfigError):
-        FuzzyConfig(prefix_scale=0.25, max_prefix=5)
-    FuzzyConfig(prefix_scale=0.25, max_prefix=4)  # product exactly 1 is fine
-
-
-@pytest.mark.parametrize("max_prefix", [2.5, 3.0, True, "4"])
-def test_config_rejects_non_integer_max_prefix(max_prefix):
-    with pytest.raises(ConfigError, match="max_prefix"):
-        FuzzyConfig(max_prefix=max_prefix)
 
 
 def test_all_pairs_single_match():
@@ -234,20 +218,14 @@ def test_match_dataclass_shape():
 @given(
     st.lists(names, max_size=12),
     st.lists(names, max_size=12),
-    st.sampled_from([0.0, 0.1, 0.25]),
-    st.sampled_from([0, 1, 4]),
     st.sampled_from([0.0, 0.7]),
     st.booleans(),
     st.data(),
 )
 @settings(max_examples=300)
-def test_pruned_score_pairs_equals_unpruned(
-    left, right, scale, max_prefix, floor, exclude_exact, data
-):
+def test_pruned_score_pairs_equals_unpruned(left, right, floor, exclude_exact, data):
     def cfg(threshold):
-        return FuzzyConfig(
-            threshold=threshold, prefix_scale=scale, max_prefix=max_prefix, boost_floor=floor
-        )
+        return FuzzyConfig(threshold=threshold, boost_floor=floor)
 
     scores = [m.score for m in unpruned_all_pairs(left, right, cfg(0.0), exclude_exact)]
     thresholds = [0.0, 0.5, 0.85, 1.0]

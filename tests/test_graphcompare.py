@@ -257,10 +257,10 @@ def test_fuzzy_name_pairs_subset_of_all_pairs(dl, dr):
 
 def test_phase2_and_all_pairs_share_a_non_default_config():
     # merge phase 2 and compare --fuzzy score through the same
-    # jaro_winkler(a, b, cfg): under this config the regulator pair gets a
-    # larger prefix bonus than by default, and spacer/spindle (Jaro 0.64,
-    # under the 0.7 floor) gets none
-    cfg = FuzzyConfig(threshold=0.6, prefix_scale=0.25, max_prefix=2, boost_floor=0.7)
+    # jaro_winkler(a, b, cfg): under this config spacer/spindle (Jaro 0.64,
+    # under the 0.7 floor) gets no prefix bonus, and the regulator pair
+    # scores as by default
+    cfg = FuzzyConfig(threshold=0.6, boost_floor=0.7)
 
     def side(reg, spacer):
         return doc_from(
@@ -285,7 +285,9 @@ def test_phase2_and_all_pairs_share_a_non_default_config():
     }
     for (a, b), score in links.items():
         assert score == jaro_winkler(a, b, cfg) == all_pairs[(a, b)]
-        assert score != jaro_winkler(a, b)
+    assert links[("spacer", "spindle")] != jaro_winkler("spacer", "spindle")
+    regulators = ("pressure-regulator-mk1", "pressure-regulator-mk2")
+    assert links[regulators] == jaro_winkler(*regulators)
 
 
 def test_merge_invariant_under_input_permutation(make_cdx):

@@ -21,6 +21,7 @@ from bomdiff.ingest import (
     MAX_HBOM_EDGES,
     MAX_HBOM_NODES,
     MAX_HBOM_QUANTITY,
+    MAX_NESTING_DEPTH,
     DanglingParentError,
     IngestOptions,
     ParseError,
@@ -484,6 +485,16 @@ def test_csv_reader_errors_are_parse_errors():
         parse_hbom(raw)
     with pytest.raises(UnknownFormatError):
         detect_format(raw)
+    # a column named twice (after stripping) would lose all but its last
+    # cell; empty header cells, as from trailing commas, may repeat
+    for header, column in ((b"ref,name,vendor,vendor", "vendor"), (b"ref,name,ref", "ref"),
+                           (b"ref, name ,vendor,name", "name")):
+        raw = header + b"\na,chip,acme,other\n"
+        assert detect_format(raw) is BomFormat.GENERIC_HBOM
+        with pytest.raises(ParseError, match=rf"^row 1: duplicate column '{column}'$"):
+            parse_document(raw)
+    doc = parse_document(b"ref,name,vendor,,\na,chip,acme,,\n")
+    assert [(c.id, c.vendor) for c in doc.components] == [("a", "acme")]
 
 
 def test_drop_prefix_by_purl_type(make_cdx):
@@ -614,6 +625,25 @@ def test_refless_ids_unchanged_by_iterative_keys(forest):
         assert parse_cyclonedx(raw.encode()) == doc
 
 
+def test_nesting_deeper_than_the_limit_is_the_decoders_error():
+    # The JSON decoder's own limit depends on the Python version and on the
+    # caller's stack; this one does not. The value is built without a
+    # decode, so the test's own stack depth cannot matter.
+    def nested(depth, innermost):
+        entry = {"name": "leaf", "components": innermost}
+        for _ in range(depth - 1):
+            entry = {"name": "c", "components": [entry]}
+        return {"bomFormat": "CycloneDX", "specVersion": "1.5", "components": [entry]}
+
+    assert MAX_NESTING_DEPTH == 480
+    assert len(parse_cyclonedx(nested(480, None)).components) == 480
+    # an empty array at the deepest level holds no component, so it is read
+    assert len(parse_cyclonedx(nested(480, [])).components) == 480
+    for data in (nested(481, None), nested(480, [{"name": "x"}])):
+        with pytest.raises(ParseError, match=r"^\$: JSON nested too deeply to decode$"):
+            parse_cyclonedx(data)
+
+
 def test_deep_refless_nesting_never_tracebacks(tmp_path):
     # Around the JSON decoder's nesting limit the command either succeeds or
     # reports a parse error; flattening and id assignment must not overflow.
@@ -639,7 +669,9 @@ def test_deep_refless_nesting_never_tracebacks(tmp_path):
         if r.returncode == 0:
             deepest = (depth, r.stdout)
     assert deepest is not None
+    # MAX_NESTING_DEPTH, on every Python version
     depth, out = deepest
+    assert depth == 480
     assert f"\ncomponents: {depth}\n" in out
 
 
@@ -859,6 +891,9 @@ def test_cyclonedx_holds_each_value_once():
     assert {"Acme Corp", "Globex Ltd", "Apache-2.0", "SHA256"} <= set(values)
     purls = [c for c in doc.components if c.purl is not None]
     assert len(purls) == 41 and all(c.purl is c.id for c in purls)
+    # every library has the same scope and type: one extra tuple of two pairs
+    extras = {id(c.extra): c.extra for c in doc.components if c.extra}
+    assert list(extras.values()) == [(("cdx:scope", "required"), ("cdx:type", "library"))]
     # a digest that is already lowercase is the decoded string itself
     c = next(c for c in doc.components if c.name == "lib-1")
     assert c.hashes[0][1] is data["components"][1]["hashes"][0]["content"]
@@ -897,6 +932,19 @@ def test_hbom_holds_each_value_once(make_hbom, fold):
         doc = parse_hbom(raw, opts)
         assert len(doc.components) == (5 if fold else 13)
         assert set(_assert_one_object_per_value(doc)) == {"Acme Corp", "Globex Ltd"}
+
+
+def test_hbom_shares_equal_multi_pair_extras():
+    # extra columns in unsorted header order still give one sorted tuple
+    csv_raw = b"ref,name,zone,color\na,chip,z1,red\nb,cap,z1,red\nc,res,z2,red\n"
+    rows = [{"ref": r, "name": n, "zone": z, "color": "red"}
+            for r, n, z in (("a", "chip", "z1"), ("b", "cap", "z1"), ("c", "res", "z2"))]
+    for raw in (csv_raw, json.dumps({"hbom": rows}).encode()):
+        by_id = parse_hbom(raw).by_id
+        assert by_id["a"].extra == (("color", "red"), ("zone", "z1"))
+        assert by_id["a"].extra is by_id["b"].extra
+        assert by_id["c"].extra == (("color", "red"), ("zone", "z2"))
+        assert by_id["a"].extra[0] is by_id["c"].extra[0]
 
 
 def _traced_now() -> int:

@@ -54,6 +54,8 @@ def test_component_constructor_normalizes_with_slots():
     assert all(type(h) is tuple for h in c.hashes) and type(c.hashes) is tuple
     assert c.extra == (("a", "2"), ("m", "3"), ("z", "1"))
     assert all(type(kv) is tuple for kv in c.extra)
+    # an extra that is already a sorted tuple of pairs is kept, not copied
+    assert Component(id="y", name="n", extra=c.extra).extra is c.extra
     assert not hasattr(c, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         c.name = "other"
