@@ -31,14 +31,8 @@ _KINDS = (RelationshipKind.CONTAINS, RelationshipKind.DEPENDS_ON)
 class GraphNode(NamedTuple):
     id: str
     name: str
-    version: str | None
-    purl: str | None
     component_id: str | None  # None only for a synthetic root
     instance: int = 1
-
-    def sort_key(self):
-        return (self.name, self.version or "", self.purl or "",
-                self.component_id or "", self.instance)
 
 
 @dataclass(frozen=True)
@@ -113,8 +107,9 @@ def build_graph(doc: BomDocument) -> BomGraph:
         rid = "(root)"
         while rid in cidx:
             rid += "~"
-        root = GraphNode(rid, doc.source_name or "root", None, None, None)
-        slot = bisect_left(comps, root.sort_key()[:4], key=Component.sort_key)
+        root = GraphNode(rid, doc.source_name or "root", None)
+        # the root sorts as a component with its name and no version, purl or id
+        slot = bisect_left(comps, (root.name, "", "", ""), key=Component.sort_key)
 
     # tuple.__new__ skips NamedTuple's Python-level __new__ (0.47 -> 0.19 us a node)
     nodes, spans, node = [], [], tuple.__new__
@@ -129,7 +124,7 @@ def build_graph(doc: BomDocument) -> BomGraph:
             nid = f"{c.id}#{q}" if c.quantity > 1 else c.id
             while nid != c.id and nid in cidx:
                 nid += "~"
-            nodes.append(node(GraphNode, (nid, c.name, c.version, c.purl, c.id, q)))
+            nodes.append(node(GraphNode, (nid, c.name, c.id, q)))
     if root is None:
         p = spans[subject].start
 
@@ -301,8 +296,8 @@ def merge_graphs(
                     if s > cfg.threshold:
                         levels.setdefault(s, []).append((lg, rg))
 
-    # The greedy over (-score, left key, right key), one score level at a
-    # time: each free left node, in key order, takes the smallest unused
+    # The greedy over (-score, left index, right index), one score level at
+    # a time: each free left node, in index order, takes the smallest unused
     # right node among its blocks. Right nodes only ever become used, so a
     # pointer per block that skips them moves forward only: a level costs
     # O(its block sides + its matches), plus sorting its left nodes.

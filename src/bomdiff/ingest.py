@@ -14,7 +14,7 @@ hinted, and the parser for the format reads the same value.
 JSON text before the parse.
 
 Readers take each field once: a value of the expected type is used as it
-is, any other goes to a checked helper (``_require``, ``_opt_str``,
+is, any other goes to a checked helper (``_require_str``, ``_opt_str``,
 ``_opt_list``, ``_cell``, ``_hash_pair``) that raises a ParseError at the
 field's JSON path or row. The message's path is built only for an error,
 except the paths of the entries themselves: ``parse_cyclonedx`` builds one
@@ -28,10 +28,13 @@ maps each value to its first copy. The memo is local to one parse, so no
 value outlives the documents that hold it (``sys.intern`` would keep it).
 A digest that is already lowercase is the decoded string itself.
 
-Every reader ends in the same normalization pipeline: optional name/ecosystem
-filtering, then duplicate collapsing. ``BomDocument`` puts what is left in
-canonical order, so downstream comparison code never sees source-order
-artifacts.
+Every reader ends in one ``_finish`` call with its components and one set of
+(source, target, kind) edges. By then the CycloneDX reader has linked its
+subject to the components nothing else points at, and the HBOM reader has
+folded quantities and checked its expansion bounds. ``_finish`` applies the
+optional name/ecosystem drops, then duplicate collapsing, to those parts and
+builds the parse's only ``BomDocument``, which puts them in canonical order,
+so downstream comparison code never sees source-order artifacts.
 """
 
 from __future__ import annotations
@@ -175,6 +178,13 @@ def _require(entry: dict, key: str, path: str) -> object:
     return value
 
 
+def _require_str(entry: dict, key: str, path: str) -> str:
+    value = _require(entry, key, path)
+    if not isinstance(value, str):
+        raise ParseError(f"{path}.{key}: expected a string")
+    return value
+
+
 def _opt_str(entry: dict, key: str, path: str):
     value = entry.get(key)
     if value is None or value == "":
@@ -223,8 +233,8 @@ def _hash_list(items: list, alg_key: str, digest_key: str, path: str, key: str,
     return tuple(pairs)
 
 
-def _purl_type(purl: str):
-    if not purl.lower().startswith("pkg:"):
+def _purl_type(purl: str | None):
+    if not purl or not purl.lower().startswith("pkg:"):
         return None
     rest = purl[4:].lstrip("/")
     head, sep, _ = rest.partition("/")
@@ -325,8 +335,8 @@ def parse_cyclonedx(
     memo: dict = {}
     components = [_cdx_component(entry, ids[i], paths[i], memo) for i, entry in enumerate(entries)]
 
-    contains = {(ids[p], ids[i]) for i, p in enumerate(parent_of) if p is not None}
-    depends = set()
+    CON, DEP = RelationshipKind.CONTAINS, RelationshipKind.DEPENDS_ON
+    edges = {(ids[p], ids[i], CON) for i, p in enumerate(parent_of) if p is not None}
     deps = data.get("dependencies", [])
     if not isinstance(deps, list):
         raise ParseError("$.dependencies: expected an array")
@@ -343,31 +353,16 @@ def parse_cyclonedx(
         for tgt in targets:
             tgt = taken.get(tgt) if isinstance(tgt, str) else None
             if tgt is not None and tgt != src:
-                depends.add((src, tgt))
+                edges.add((src, tgt, DEP))
 
     subject_id = ids[-1] if subject_entry is not None else None
     if subject_id is not None:
-        indeg = {t for _, t in contains}
-        indeg.update(t for _, t in depends)
+        indeg = {t for _, t, _ in edges}
         indeg.add(subject_id)
-        depends.update((subject_id, cid) for cid in ids if cid not in indeg)
+        edges.update((subject_id, cid, DEP) for cid in ids if cid not in indeg)
 
-    doc = BomDocument(
-        format=BomFormat.CYCLONEDX_JSON,
-        spec_version=spec_version,
-        subject=subject_id,
-        components=tuple(components),
-        relationships=_relationships(contains, depends),
-        source_name=source_name,
-    )
-    return _finish(doc, opts)
-
-
-def _relationships(contains, depends) -> tuple[Relationship, ...]:
-    """Relationships from (source, target) pairs, one collection per kind."""
-    CON, DEP = RelationshipKind.CONTAINS, RelationshipKind.DEPENDS_ON
-    return (*(Relationship(s, t, CON) for s, t in contains),
-            *(Relationship(s, t, DEP) for s, t in depends))
+    return _finish(BomFormat.CYCLONEDX_JSON, spec_version, subject_id, components, edges,
+                   source_name, opts)
 
 
 def _subtree_keys(
@@ -409,9 +404,7 @@ def _cdx_component(entry: dict, cid: str, path: str, memo: dict) -> Component:
     get, share = entry.get, memo.setdefault
     name = get("name")
     if type(name) is not str or not name:
-        name = _require(entry, "name", path)
-        if not isinstance(name, str):
-            raise ParseError(f"{path}.name: expected a string")
+        name = _require_str(entry, "name", path)
 
     vendor = None
     supplier = get("supplier")
@@ -492,15 +485,13 @@ def parse_spdx(
         path = f"$.packages[{i}]"
         if not isinstance(pkg, dict):
             raise ParseError(f"{path}: expected an object")
-        sid = _require(pkg, "SPDXID", path)
-        if not isinstance(sid, str):
-            raise ParseError(f"{path}.SPDXID: expected a string")
+        sid = _require_str(pkg, "SPDXID", path)
         if sid in parsed:
             raise ParseError(f"{path}.SPDXID: duplicate '{sid}'")
         parsed[sid] = _spdx_fields(pkg, path, memo)
         ids[sid] = sid
 
-    contains, depends = set(), set()
+    edges = set()
     subject_id = None
     rel_extra: dict[str, dict[str, list[str]]] = {}
     for i, rel in enumerate(_opt_list(data, "relationships", "$")):
@@ -516,10 +507,9 @@ def parse_spdx(
             continue
         if a is None or b is None or a == b:
             continue
-        if rtype == "DEPENDS_ON":
-            depends.add((a, b))
-        elif rtype == "CONTAINS":
-            contains.add((a, b))
+        kind = RelationshipKind.__members__.get(rtype)  # DEPENDS_ON or CONTAINS
+        if kind is not None:
+            edges.add((a, b, kind))
         else:
             rel_extra.setdefault(a, {}).setdefault(rtype, []).append(b)
 
@@ -541,15 +531,8 @@ def parse_spdx(
                                for rtype, targets in sorted(rel_extra[sid].items())))
         components.append(Component(id=sid, extra=extra, **fields))
 
-    doc = BomDocument(
-        format=BomFormat.SPDX_JSON,
-        spec_version=spec_version,
-        subject=subject_id,
-        components=tuple(components),
-        relationships=_relationships(contains, depends),
-        source_name=source_name,
-    )
-    return _finish(doc, opts)
+    return _finish(BomFormat.SPDX_JSON, spec_version, subject_id, components, edges,
+                   source_name, opts)
 
 
 _NO_VALUE = ("NOASSERTION", "NONE")
@@ -559,9 +542,7 @@ def _spdx_fields(pkg: dict, path: str, memo: dict) -> dict:
     get, share = pkg.get, memo.setdefault
     name = get("name")
     if type(name) is not str or not name:
-        name = _require(pkg, "name", path)
-        if not isinstance(name, str):
-            raise ParseError(f"{path}.name: expected a string")
+        name = _require_str(pkg, "name", path)
 
     purl = cpe = None
     items = get("externalRefs")
@@ -664,15 +645,7 @@ def parse_hbom(
 
     # Rows without a parent hang off the per-source root that graph
     # construction adds; the table itself records no subject component.
-    doc = BomDocument(
-        format=BomFormat.GENERIC_HBOM,
-        spec_version="",
-        subject=None,
-        components=tuple(components),
-        relationships=tuple(Relationship(s, t, k) for s, t, k in edges),
-        source_name=source_name,
-    )
-    return _finish(doc, opts)
+    return _finish(BomFormat.GENERIC_HBOM, "", None, components, edges, source_name, opts)
 
 
 def _hbom_components(rows) -> tuple[dict[str, Component], dict[str, str], dict[str, int]]:
@@ -794,13 +767,20 @@ def _hbom_rows(raw) -> list[tuple[int, dict]]:
     for column, n in Counter(h for h in header if h).items():
         if n > 1:
             raise ParseError(f"row 1: duplicate column '{column}'")
+    # Rows are keyed by the stripped names and an unnamed column by its
+    # number from 1, which may hold only blank cells: a value has no label.
+    reader.fieldnames = [h or i for i, h in enumerate(header, 1)]
+    unnamed = [i for i in reader.fieldnames if type(i) is int]
     out = []
     try:
         for row in reader:
             n = len(out) + 2
             if None in row:
                 raise ParseError(f"row {n}: more cells than header columns")
-            out.append((n, {(k or "").strip(): v for k, v in row.items()}))
+            for i in unnamed:
+                if (row.pop(i) or "").strip():
+                    raise ParseError(f"row {n}: value in unnamed column {i}")
+            out.append((n, row))
     except csv.Error as e:
         raise ParseError(f"row {len(out) + 2}: {e}") from None
     return out
@@ -878,37 +858,30 @@ def _fold_quantities(components, edges):
     members: dict[str, list[Component]] = {}
     for c in components:
         members.setdefault(label[c.id], []).append(c)
-    survivor: dict[str, str] = {}
+    remap: dict[str, str] = {}
     folded: dict[str, Component] = {}
     for group in members.values():
         keep = min(group, key=lambda c: c.id)
-        for c in group:
-            survivor[c.id] = keep.id
+        remap.update((c.id, keep.id) for c in group if c is not keep)
         if len(group) > 1:
             keep = replace(keep, quantity=sum(c.quantity for c in group))
         folded[keep.id] = keep
-    return (
-        [folded[c.id] for c in components if c.id in folded],
-        {(survivor[s], survivor[t], k) for s, t, k in edges},
-    )
+    return [folded[c.id] for c in components if c.id in folded], _rewire(edges, remap)
 
 
 # ------------------------------------------------------- shared pipeline
 
 
-def dedup_components(doc: BomDocument) -> BomDocument:
-    """Collapse components sharing purl and recorded metadata.
-
-    Survivor is the smallest id in each group; edges to removed copies are
-    rewired to the survivor, and edge duplicates or self-loops produced by
-    the rewiring are dropped. Components without a purl never merge.
-    """
+def _duplicates(components) -> dict[str, str]:
+    """{removed id: survivor id} collapsing components that share purl and
+    recorded metadata: the smallest id of each group survives. Components
+    without a purl never merge."""
     # Only components sharing a purl can merge: the full key is built for
     # those alone.
-    counts = Counter(c.purl for c in doc.components)
+    counts = Counter(c.purl for c in components)
     shared = {purl for purl, n in counts.items() if n > 1 and purl is not None}
-    groups: dict[tuple, list[Component]] = {}
-    for c in doc.components:
+    groups: dict[tuple, list[str]] = {}
+    for c in components:
         if c.purl not in shared:
             continue
         licenses, hashes = c.licenses, c.hashes
@@ -917,59 +890,54 @@ def dedup_components(doc: BomDocument) -> BomDocument:
         if len(hashes) > 1:
             hashes = tuple(sorted(hashes))
         key = (c.purl, c.name, c.version, c.vendor, licenses, hashes)
-        groups.setdefault(key, []).append(c)
+        groups.setdefault(key, []).append(c.id)
 
     remap: dict[str, str] = {}
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        ids = sorted(c.id for c in members)
-        for dup in ids[1:]:
-            remap[dup] = ids[0]
+    for ids in groups.values():
+        keep = min(ids)
+        remap.update((dup, keep) for dup in ids if dup != keep)
+    return remap
+
+
+def _rewire(edges, remap: dict[str, str]) -> set:
+    """The (source, target, kind) edges with each endpoint mapped through
+    ``remap``, less the self-loops that makes."""
+    mapped = ((remap.get(s, s), remap.get(t, t), k) for s, t, k in edges)
+    return {e for e in mapped if e[0] != e[1]}
+
+
+def dedup_components(doc: BomDocument) -> BomDocument:
+    """``doc`` with its duplicate components collapsed (see ``_duplicates``)
+    and their edges rewired onto the survivor."""
+    remap = _duplicates(doc.components)
     if not remap:
         return doc
-
-    components = tuple(c for c in doc.components if c.id not in remap)
-    rewired = (set(), set())  # contains, depends-on
-    for r in doc.relationships:
-        s, t = remap.get(r.source, r.source), remap.get(r.target, r.target)
-        if s != t:
-            rewired[r.kind is RelationshipKind.DEPENDS_ON].add((s, t))
-    subject = remap.get(doc.subject, doc.subject) if doc.subject else None
-    return replace(
-        doc, components=components, relationships=_relationships(*rewired), subject=subject
-    )
+    edges = _rewire(((r.source, r.target, r.kind) for r in doc.relationships), remap)
+    return replace(doc, components=tuple(c for c in doc.components if c.id not in remap),
+                   relationships=tuple(Relationship(s, t, k) for s, t, k in edges),
+                   subject=remap.get(doc.subject, doc.subject))
 
 
-def _drop_prefixes(doc: BomDocument, prefixes) -> BomDocument:
-    """Remove components whose purl ecosystem equals, or name starts with,
-    one of the given entries. The subject is never dropped."""
-    if not prefixes:
-        return doc
-
-    def drops(c: Component) -> bool:
-        if c.id == doc.subject:
-            return False
-        ptype = _purl_type(c.purl) if c.purl else None
-        return any(p == ptype or c.name.startswith(p) for p in prefixes)
-
-    dropped = {c.id for c in doc.components if drops(c)}
-    if not dropped:
-        return doc
-    return replace(
-        doc,
-        components=tuple(c for c in doc.components if c.id not in dropped),
-        relationships=tuple(
-            r
-            for r in doc.relationships
-            if r.source not in dropped and r.target not in dropped
-        ),
-    )
-
-
-def _finish(doc: BomDocument, opts: IngestOptions) -> BomDocument:
-    doc = _drop_prefixes(doc, opts.drop_name_prefixes)
-    return dedup_components(doc) if opts.dedup else doc
+def _finish(fmt: BomFormat, spec_version: str, subject, components, edges,
+            source_name: str, opts: IngestOptions) -> BomDocument:
+    """The parse's one document, from the parser's components and
+    (source, target, kind) edges: prefix drops first, then dedup. A
+    component is dropped when its purl type equals, or its name starts
+    with, a prefix; the subject is never dropped."""
+    prefixes = opts.drop_name_prefixes
+    if prefixes:
+        dropped = {c.id for c in components if c.id != subject and (
+            c.name.startswith(prefixes) or _purl_type(c.purl) in prefixes)}
+        if dropped:
+            components = [c for c in components if c.id not in dropped]
+            edges = [e for e in edges if e[0] not in dropped and e[1] not in dropped]
+    remap = _duplicates(components) if opts.dedup else None
+    if remap:
+        components = [c for c in components if c.id not in remap]
+        edges = _rewire(edges, remap)
+        subject = remap.get(subject, subject)
+    return BomDocument(fmt, spec_version, subject, tuple(components),
+                       tuple(Relationship(s, t, k) for s, t, k in edges), source_name)
 
 
 # ----------------------------------------------------------------- loading

@@ -330,6 +330,7 @@ def _reachable_oracle(root, edges):
 
 def build_graph_oracle(doc):
     nodes = []
+    key = {}  # node id -> (name, version, purl, component id, instance)
     instances = {}
     taken = {c.id for c in doc.components}
     for c in sorted(doc.components, key=Component.sort_key):
@@ -345,7 +346,8 @@ def build_graph_oracle(doc):
                 ids.append(nid)
         instances[c.id] = ids
         for i, nid in enumerate(ids, start=1):
-            nodes.append(GraphNode(nid, c.name, c.version, c.purl, c.id, i))
+            nodes.append(GraphNode(nid, c.name, c.id, i))
+            key[nid] = (c.name, c.version or "", c.purl or "", c.id, i)
 
     edges = set()
     for r in doc.relationships:
@@ -365,8 +367,9 @@ def build_graph_oracle(doc):
         while root in taken:
             root += "~"
         adopt_kind = CON if doc.format is BomFormat.GENERIC_HBOM else DEP
-        root_node = GraphNode(root, doc.source_name or "root", None, None, None)
-        ordered = sorted(nodes, key=GraphNode.sort_key)
+        root_node = GraphNode(root, doc.source_name or "root", None)
+        key[root] = (root_node.name, "", "", "", 1)
+        ordered = sorted(nodes, key=lambda n: key[n.id])
         reach = {root}
         while len(reach) < len(nodes) + 1:
             targets = {t for _, t, _ in edges}
@@ -377,7 +380,7 @@ def build_graph_oracle(doc):
             reach = _reachable_oracle(root, edges)
         nodes.append(root_node)
 
-    nodes.sort(key=GraphNode.sort_key)
+    nodes.sort(key=lambda n: key[n.id])
     return (
         tuple(nodes),
         tuple(sorted(edges, key=lambda e: (e[0], e[1], e[2].value))),
@@ -552,21 +555,25 @@ def test_build_graph_adoption_is_linear():
 # merge_graphs keeps its phase-2 candidates as name blocks and replays the
 # greedy one score level at a time. The version it replaced stays here as
 # the reference: one candidate per free-left x free-right sibling pair,
-# children and pairs ordered by sort_key, and one global sort by
-# (-score, left key, right key).
+# children and pairs ordered by node index (build_graph_oracle checks that
+# this is the canonical order), and one global sort by
+# (-score, left index, right index).
 
 
 def merge_graphs_oracle(left, right, cfg=FuzzyConfig()):
-    def children_map(g):
+    lindex = {n.id: i for i, n in enumerate(left.nodes)}
+    rindex = {n.id: i for i, n in enumerate(right.nodes)}
+
+    def children_map(g, index):
         buckets = {}
         for s, t, k in g.edges:
             buckets.setdefault((s, k), []).append(t)
         return {
-            key: tuple(sorted(set(kids), key=lambda i: g.by_id[i].sort_key()))
+            key: tuple(sorted(set(kids), key=index.__getitem__))
             for key, kids in buckets.items()
         }
 
-    lkids, rkids = children_map(left), children_map(right)
+    lkids, rkids = children_map(left, lindex), children_map(right, rindex)
     lmatch = {left.root: right.root}
     rmatch = {right.root: left.root}
     lname = {n.id: n.name for n in left.nodes}
@@ -598,7 +605,7 @@ def merge_graphs_oracle(left, right, cfg=FuzzyConfig()):
                     descend.append((l, r))
         stack.extend(reversed(descend))
 
-    pairs = sorted(lmatch.items(), key=lambda p: left.by_id[p[0]].sort_key())
+    pairs = sorted(lmatch.items(), key=lambda p: lindex[p[0]])
     left_only = tuple(n.id for n in left.nodes if n.id not in lmatch)
     right_only = tuple(n.id for n in right.nodes if n.id not in rmatch)
 
@@ -626,8 +633,8 @@ def merge_graphs_oracle(left, right, cfg=FuzzyConfig()):
         candidates.items(),
         key=lambda item: (
             -item[1],
-            left.by_id[item[0][0]].sort_key(),
-            right.by_id[item[0][1]].sort_key(),
+            lindex[item[0][0]],
+            rindex[item[0][1]],
         ),
     )
     used_l, used_r = set(), set()

@@ -468,7 +468,7 @@ def test_csv_detection_agrees_with_parser(tmp_path, text, is_table):
         assert codes == [3, 3]
 
 
-def test_csv_reader_errors_are_parse_errors():
+def test_csv_reader_errors_are_parse_errors(tmp_path):
     # the csv module refuses a field over its size limit; that was a traceback
     raw = ('ref,name\na,"' + "x" * 200_000 + '"\n').encode()
     with pytest.raises(ParseError, match=r"^row 2: field larger than field limit"):
@@ -495,6 +495,22 @@ def test_csv_reader_errors_are_parse_errors():
             parse_document(raw)
     doc = parse_document(b"ref,name,vendor,,\na,chip,acme,,\n")
     assert [(c.id, c.vendor) for c in doc.components] == [("a", "acme")]
+    # a value under an unnamed column has no label (it used to be lost
+    # silently), so it is an error; a blank or missing cell there is not
+    raw = b"ref,name,,\na,chip,x,y\n"
+    assert detect_format(raw) is BomFormat.GENERIC_HBOM
+    with pytest.raises(ParseError, match=r"^row 2: value in unnamed column 3$"):
+        parse_document(raw)
+    with pytest.raises(ParseError, match=r"^row 3: value in unnamed column 2$"):
+        parse_document(b"ref, ,name\na,,chip\nb, y ,cap\n")
+    doc = parse_document(b"ref,name, ,vendor\na,chip, ,acme\nb,cap\n")
+    assert [(c.id, c.vendor, c.extra) for c in doc.components] == [
+        ("b", None, ()), ("a", "acme", ())]
+    path = tmp_path / "unnamed.csv"
+    path.write_bytes(raw)
+    err = io.StringIO()
+    assert cli_run(["inspect", str(path)], stdout=io.StringIO(), stderr=err) == 3
+    assert err.getvalue() == "error: row 2: value in unnamed column 3\n"
 
 
 def test_drop_prefix_by_purl_type(make_cdx):
