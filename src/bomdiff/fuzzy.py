@@ -9,12 +9,22 @@ threshold and the Jaro floor that may withhold the bonus.
 score cannot exceed the threshold (the length and character filter of
 Dressler & Ngonga Ngomo, "On the efficient execution of bounded Jaro-Winkler
 distances", Semantic Web 8(2), 2017). The bound is exact, so the matches are
-the ones that scoring every pair gives.
+the ones that scoring every pair gives. The pairs are not visited one by
+one: the right names that share a left name's first k characters form a
+block of the sorted right list, as in the prefix filtering of Bayardo, Ma &
+Srikant, "Scaling Up All Pairs Similarity Search", WWW 2007, and every pair
+in a block is tested against the bound at once, with bit-sliced counts of
+shared characters. Equal names score exactly 1.0 without a kernel call.
+Near-identical names, such as numbered ones, pass the bound and are scored;
+their matches, and so the work, stay quadratic, since the output is.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 # The one similarity kernel. perfbench stamps this into every record and
 # refuses to compare records whose kernels differ.
@@ -142,6 +152,58 @@ def _char_masks(names: list[str], bits: dict) -> list[int]:
     return out
 
 
+def _least_shared(n1: int, n2: int, prefix: int, cutoff: float) -> int:
+    """Least shared-character count whose score bound exceeds ``cutoff``.
+
+    The bound is the one described in ``all_pairs_matches``, computed with
+    the same float expressions, for names of lengths n1, n2 > 0 with common
+    prefix ``prefix``. It rises with the count m (each step adds at least
+    0.6 * (1/n1 + 1/n2) / 3 to it, far above the rounding error), so the
+    counts that pass are exactly those >= the result. The result is
+    min(n1, n2) + 1, which no count reaches, when none pass.
+    """
+    lo, hi = 0, min(n1, n2) + 1
+    while lo < hi:
+        m = (lo + hi) // 2
+        bound = (m / n1 + m / n2 + 1.0) / 3.0 if m else 0.0
+        gap = _PREFIX_SCALE * (1.0 - bound)
+        if bound + prefix * gap > cutoff:
+            hi = m
+        else:
+            lo = m + 1
+    return lo
+
+
+def _at_least(planes: list[int], v: int, everyone: int) -> int:
+    """Positions whose count, held bit-sliced in ``planes``, is >= v.
+
+    planes[i] holds bit i of every position's count; ``everyone`` has a bit
+    for every position.
+    """
+    if v <= 0:
+        return everyone
+    if v >> len(planes):
+        return 0
+    below, equal = 0, everyone
+    for i in range(len(planes) - 1, -1, -1):
+        c = planes[i]
+        if v >> i & 1:
+            below |= equal & ~c
+            equal &= c
+        else:
+            equal &= ~c
+    return everyone & ~below
+
+
+# The first k characters of a name, as bisect keys for k = 0 .. _MAX_PREFIX.
+_PREFIX_KEYS = tuple(itemgetter(slice(k)) for k in range(_MAX_PREFIX + 1))
+
+
+def _span(lo: int, hi: int) -> int:
+    """Bitset of the positions lo .. hi - 1."""
+    return (1 << hi) - (1 << lo)
+
+
 def all_pairs_matches(
     left,
     right,
@@ -162,39 +224,101 @@ def all_pairs_matches(
     plus p * 0.1 * (1 - bound), whether or not boost_floor withholds the
     bonus. The bound holds because Jaro-Winkler rises with Jaro while
     0 <= p * 0.1 <= 0.4, which holds by construction.
+
+    The right names that share a left name's first k characters form one
+    slice of the sorted right list, for each k up to 4, and each slice
+    nests in the one before. In a slice minus the next one every pair has
+    the same p, so a pair passes exactly when its shared-character count
+    reaches a least value set by the two lengths and p (``_least_shared``).
+    The counts of one left name against every right name are summed at once
+    as bit-sliced integers over right positions, one bitset per character
+    token, and only the pairs that pass are scored. Equal names score 1.0
+    without a kernel call. Pairs with an empty name are always scored.
     """
     ls = sorted(left)
     rs = sorted(right)
-    threshold, scale, cap = cfg.threshold, _PREFIX_SCALE, _MAX_PREFIX
+    threshold = cfg.threshold
     cutoff = threshold - _MARGIN
+    keep_equal = not exclude_exact and 1.0 > threshold
     bits: dict = {}
     left_masks = _char_masks(ls, bits)
     right_masks = _char_masks(rs, bits)
+    # at[t]: the right positions whose names hold token t; by_length[n]:
+    # the right positions whose names have n characters.
+    at = [0] * len(bits)
+    by_length: dict[int, int] = {}
+    for j, (r, mask) in enumerate(zip(rs, right_masks)):
+        bit = 1 << j
+        by_length[len(r)] = by_length.get(len(r), 0) | bit
+        while mask:
+            low = mask & -mask
+            at[low.bit_length() - 1] |= bit
+            mask ^= low
+    n_right = len(rs)
+    everyone = _span(0, n_right)
+    # Empty names sort first; they pair with every left name.
+    empty = bisect_right(rs, "")
     out = []
-    for l, lmask in zip(ls, left_masks):
-        n1 = len(l)
-        for r, rmask in zip(rs, right_masks):
-            if exclude_exact and l == r:
-                continue
-            n2 = len(r)
-            if n1 and n2:
-                m = (lmask & rmask).bit_count()
-                bound = (m / n1 + m / n2 + 1.0) / 3.0 if m else 0.0
-                gap = scale * (1.0 - bound)
-                # Cheap test with the longest possible prefix first, then
-                # the pair's own prefix.
-                if bound + cap * gap <= cutoff:
+    by_left_length = sorted(zip(ls, left_masks), key=lambda lm: len(lm[0]))
+    for n1, group in groupby(by_left_length, key=lambda lm: len(lm[0])):
+        # needs[p]: {least shared count: the nonempty right positions with
+        # that least count at left length n1 and common prefix p}
+        needs = []
+        for p in range(min(n1, _MAX_PREFIX) + 1):
+            need: dict[int, int] = {}
+            for n2, positions in by_length.items():
+                if n1 and n2:
+                    v = _least_shared(n1, n2, p, cutoff)
+                    need[v] = need.get(v, 0) | positions
+            needs.append(need)
+        for l, lmask in group:
+            if not n1:
+                survivors = everyone
+            else:
+                # planes[i]: bit i of each right name's shared-token count.
+                planes: list[int] = []
+                while lmask:
+                    low = lmask & -lmask
+                    lmask ^= low
+                    carry = at[low.bit_length() - 1]
+                    for i, c in enumerate(planes):
+                        planes[i] = c ^ carry
+                        carry &= c
+                        if not carry:
+                            break
+                    if carry:
+                        planes.append(carry)
+                at_least: dict[int, int] = {}
+                survivors = _span(0, empty)
+                # outer: the right names that share l's first p characters.
+                lo, hi = empty, n_right
+                outer = _span(lo, hi)
+                for p, need in enumerate(needs):
+                    inner = 0
+                    if p + 1 < len(needs):
+                        lo = bisect_left(rs, l[: p + 1], lo, hi)
+                        hi = bisect_right(rs, l[: p + 1], lo, hi, key=_PREFIX_KEYS[p + 1])
+                        inner = _span(lo, hi)
+                    exact = outer & ~inner
+                    for v, positions in need.items():
+                        if positions & exact:
+                            if v not in at_least:
+                                at_least[v] = _at_least(planes, v, everyone)
+                            survivors |= positions & exact & at_least[v]
+                    outer = inner
+                    if not outer:
+                        break
+            while survivors:
+                low = survivors & -survivors
+                survivors ^= low
+                r = rs[low.bit_length() - 1]
+                if r == l:
+                    # m = len, t = 0 and the bonus is scaled by 1 - 1.0.
+                    if keep_equal:
+                        out.append(FuzzyMatch(l, r, 1.0))
                     continue
-                limit = n1 if n1 < n2 else n2
-                if limit > cap:
-                    limit = cap
-                prefix = 0
-                while prefix < limit and l[prefix] == r[prefix]:
-                    prefix += 1
-                if bound + prefix * gap <= cutoff:
-                    continue
-            score = jaro_winkler(l, r, cfg)
-            if score > threshold:
-                out.append(FuzzyMatch(l, r, score))
+                score = jaro_winkler(l, r, cfg)
+                if score > threshold:
+                    out.append(FuzzyMatch(l, r, score))
     out.sort(key=lambda fm: (-fm.score, fm.left, fm.right))
     return out

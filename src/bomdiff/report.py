@@ -343,18 +343,39 @@ class DifferenceHint(Enum):
 _SEPARATORS = str.maketrans("", "", "-_./ ")
 
 
-def _levenshtein(a: str, b: str) -> int:
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(
-                min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
-            )
-        prev = cur
-    return prev[-1]
+def _within_edits(a: str, b: str, k: int) -> bool:
+    """Whether the Levenshtein distance between a and b is at most k.
+
+    Only the cells within k of the diagonal can hold a distance <= k, so
+    each row computes just those 2k + 1 cells, with larger values held as
+    k + 1, and the scan stops once a whole row exceeds k (E. Ukkonen,
+    "Algorithms for approximate string matching", Information and Control
+    64, 1985). O(k * len(a)) time and O(k) space.
+    """
+    n, m = len(a), len(b)
+    if abs(n - m) > k:
+        return False
+    over = k + 1
+    width = 2 * k + 1
+    # row[d] is the distance between a[:i] and b[:j] for j = i - k + d.
+    row = [d - k if k <= d <= k + m else over for d in range(width)]
+    for i in range(1, n + 1):
+        ca = a[i - 1]
+        prev, row = row, [over] * width
+        for d in range(max(0, k - i), min(width, k + m - i + 1)):
+            j = i - k + d
+            if j == 0:
+                best = i
+            else:
+                best = prev[d] + (ca != b[j - 1])
+                if d + 1 < width and prev[d + 1] < best:
+                    best = prev[d + 1] + 1
+                if d and row[d - 1] < best:
+                    best = row[d - 1] + 1
+            row[d] = best if best < over else over
+        if min(row) > k:
+            return False
+    return row[m - n + k] <= k
 
 
 def classify_differences(
@@ -374,7 +395,7 @@ def classify_differences(
         sa, sb = a.translate(_SEPARATORS), b.translate(_SEPARATORS)
         if sa != sb and (sa.startswith(sb) or sb.startswith(sa)):
             hint = DifferenceHint.PREFIX_SPECIFICITY
-        elif abs(len(a) - len(b)) <= 1 and _levenshtein(a, b) <= 2:
+        elif abs(len(a) - len(b)) <= 1 and _within_edits(a, b, 2):
             hint = DifferenceHint.LIKELY_TRANSCRIPTION
         else:
             hint = DifferenceHint.SUBSTITUTION

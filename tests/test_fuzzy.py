@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bomdiff import fuzzy
 from bomdiff.fuzzy import (
     BACKEND,
     ConfigError,
@@ -57,6 +58,25 @@ names = st.text(
     alphabet=st.sampled_from("abcdefgh-._0123456789"), min_size=0, max_size=24
 )
 
+# Characters that stress the prefix slices of ``all_pairs_matches``: upper
+# case sorts before lower case, a non-ASCII letter and an astral code point
+# sort after ASCII, and U+10FFFF is the largest code point, so a slice end
+# cannot be found by stepping past it.
+_wide_chars = st.sampled_from("aAbZ-0\u00e9\U0001f600\U0010ffff")
+# One stem per example, shared by both sides, so that names share prefixes
+# of every length from 1 to 6.
+_stem = st.shared(st.text(alphabet=_wide_chars, min_size=1, max_size=6), key="stem")
+wide_names = st.one_of(
+    names,
+    st.text(alphabet=_wide_chars, max_size=10),
+    st.builds(
+        lambda stem, k, tail: stem[:k] + tail,
+        _stem,
+        st.integers(1, 6),
+        st.text(alphabet=_wide_chars, max_size=6),
+    ),
+)
+
 
 # The all-pairs loop as it was before pruning: every pair is scored. Kept as
 # the oracle for the pruned ``all_pairs_matches``.
@@ -71,6 +91,71 @@ def unpruned_all_pairs(left, right, cfg=FuzzyConfig(), exclude_exact=False):
                 out.append(FuzzyMatch(l, r, score))
     out.sort(key=lambda m: (-m.score, m.left, m.right))
     return out
+
+
+# ``all_pairs_matches`` as it was before the prefix-block filter: one
+# bounded test per pair. Kept as the oracle for kernel-call counts; the
+# kernel is reached through the module so that a test can count the calls.
+def pairwise_bound_all_pairs(
+    left,
+    right,
+    cfg: FuzzyConfig = FuzzyConfig(),
+    exclude_exact: bool = False,
+) -> list[FuzzyMatch]:
+    ls = sorted(left)
+    rs = sorted(right)
+    threshold, scale, cap = cfg.threshold, fuzzy._PREFIX_SCALE, fuzzy._MAX_PREFIX
+    cutoff = threshold - fuzzy._MARGIN
+    bits: dict = {}
+    left_masks = fuzzy._char_masks(ls, bits)
+    right_masks = fuzzy._char_masks(rs, bits)
+    out = []
+    for l, lmask in zip(ls, left_masks):
+        n1 = len(l)
+        for r, rmask in zip(rs, right_masks):
+            if exclude_exact and l == r:
+                continue
+            n2 = len(r)
+            if n1 and n2:
+                m = (lmask & rmask).bit_count()
+                bound = (m / n1 + m / n2 + 1.0) / 3.0 if m else 0.0
+                gap = scale * (1.0 - bound)
+                # Cheap test with the longest possible prefix first, then
+                # the pair's own prefix.
+                if bound + cap * gap <= cutoff:
+                    continue
+                limit = n1 if n1 < n2 else n2
+                if limit > cap:
+                    limit = cap
+                prefix = 0
+                while prefix < limit and l[prefix] == r[prefix]:
+                    prefix += 1
+                if bound + prefix * gap <= cutoff:
+                    continue
+            score = fuzzy.jaro_winkler(l, r, cfg)
+            if score > threshold:
+                out.append(FuzzyMatch(l, r, score))
+    out.sort(key=lambda fm: (-fm.score, fm.left, fm.right))
+    return out
+
+
+def _criterion_10_corpus():
+    words = (
+        "relay sensor bridge filter codec driver panel probe shunt mixer valve core"
+    ).split()
+    rng = random.Random(7)
+    mk = lambda tag: [
+        f"{rng.choice(words)}-{tag}{i:03d}-{rng.choice(words)}" for i in range(250)
+    ]
+    return mk("a"), mk("b")
+
+
+def _numbered_corpus():
+    # Near-identical names, one in ten renamed by a suffix: the shared
+    # characters bound prunes almost nothing here.
+    left = [f"lib{i:05d}" for i in range(300)]
+    right = [name + "-rc" if i % 10 == 0 else name for i, name in enumerate(left)]
+    return left, right
 
 
 def test_classic_reference_values():
@@ -180,17 +265,24 @@ def test_all_pairs_ordering_is_deterministic():
 
 
 @given(
-    st.sets(names, max_size=20),
-    st.sets(names, max_size=20),
+    st.sets(wide_names, max_size=20),
+    st.sets(wide_names, max_size=20),
     st.sampled_from([0.5, 0.85, 0.95]),
+    st.sampled_from([0.0, 0.7]),
+    st.booleans(),
 )
 @settings(max_examples=100)
-def test_all_pairs_equals_brute_force(left, right, threshold):
-    cfg = FuzzyConfig(threshold=threshold)
-    got = {(m.left, m.right, m.score) for m in all_pairs_matches(left, right, cfg)}
+def test_all_pairs_equals_brute_force(left, right, threshold, floor, exclude_exact):
+    cfg = FuzzyConfig(threshold=threshold, boost_floor=floor)
+    got = {
+        (m.left, m.right, m.score)
+        for m in all_pairs_matches(left, right, cfg, exclude_exact)
+    }
     want = set()
     for l in left:
         for r in right:
+            if exclude_exact and l == r:
+                continue
             s = jaro_winkler(l, r, cfg)
             if s > threshold:
                 want.add((l, r, s))
@@ -216,8 +308,8 @@ def test_match_dataclass_shape():
 
 
 @given(
-    st.lists(names, max_size=12),
-    st.lists(names, max_size=12),
+    st.lists(wide_names, max_size=12),
+    st.lists(wide_names, max_size=12),
     st.sampled_from([0.0, 0.7]),
     st.booleans(),
     st.data(),
@@ -242,14 +334,51 @@ def test_pruned_score_pairs_equals_unpruned(left, right, floor, exclude_exact, d
 
 
 def test_pruned_score_pairs_on_criterion_10_corpus():
-    words = (
-        "relay sensor bridge filter codec driver panel probe shunt mixer valve core"
-    ).split()
-    rng = random.Random(7)
-    mk = lambda tag: [
-        f"{rng.choice(words)}-{tag}{i:03d}-{rng.choice(words)}" for i in range(250)
-    ]
-    left, right = mk("a"), mk("b")
+    left, right = _criterion_10_corpus()
     want = unpruned_all_pairs(left, right)
     assert want
     assert all_pairs_matches(left, right) == want
+
+
+def test_least_shared_count_is_the_pairwise_bound():
+    # m >= _least_shared(...) keeps exactly the pairs that the per-pair
+    # bound test of pairwise_bound_all_pairs keeps.
+    for threshold in (0.0, 0.5, 0.85, 0.95, 1.0):
+        cutoff = threshold - fuzzy._MARGIN
+        for n1 in range(1, 25):
+            for n2 in range(1, 25):
+                for p in range(min(n1, n2, 4) + 1):
+                    need = fuzzy._least_shared(n1, n2, p, cutoff)
+                    for m in range(min(n1, n2) + 1):
+                        bound = (m / n1 + m / n2 + 1.0) / 3.0 if m else 0.0
+                        gap = fuzzy._PREFIX_SCALE * (1.0 - bound)
+                        cap = fuzzy._MAX_PREFIX
+                        kept = bound + cap * gap > cutoff and bound + p * gap > cutoff
+                        assert (m >= need) == kept, (threshold, n1, n2, p, m)
+
+
+@pytest.mark.parametrize("corpus", [_criterion_10_corpus, _numbered_corpus])
+@pytest.mark.parametrize("exclude_exact", [False, True])
+def test_kernel_calls_no_more_than_pairwise_bound(monkeypatch, corpus, exclude_exact):
+    left, right = corpus()
+    kernel = fuzzy.jaro_winkler
+
+    def run(fn):
+        equal = []
+
+        def counted(s1, s2, cfg=FuzzyConfig()):
+            equal.append(s1 == s2)
+            return kernel(s1, s2, cfg)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(fuzzy, "jaro_winkler", counted)
+            out = fn(left, right, FuzzyConfig(), exclude_exact)
+        return out, len(equal), sum(equal)
+
+    want, old_calls, old_equal = run(pairwise_bound_all_pairs)
+    got, new_calls, new_equal = run(all_pairs_matches)
+    assert want and got == want
+    assert new_equal == 0
+    assert new_calls <= old_calls - old_equal
+    if corpus is _numbered_corpus and not exclude_exact:
+        assert old_equal == 270

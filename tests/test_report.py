@@ -1,6 +1,11 @@
 import json
+import random
 import re
+import time
 from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DEP, comp, doc_from
 from bomdiff.flatcompare import (
@@ -18,6 +23,7 @@ from bomdiff.report import (
     DifferenceHint,
     DiffReport,
     DotStyle,
+    _within_edits,
     classify_differences,
     render_json,
     render_table,
@@ -225,7 +231,51 @@ def test_classify_prefix_wins_over_transcription():
     assert hints[("sensor", "sensor2")] is DifferenceHint.PREFIX_SPECIFICITY
 
 
-def _hints(pairs):
+# The full-matrix edit distance that classify_differences used before the
+# banded check. Kept as the oracle for ``_within_edits``.
+def _levenshtein(a: str, b: str) -> int:
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(
+                min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
+            )
+        prev = cur
+    return prev[-1]
+
+
+short_names = st.text(alphabet=st.sampled_from("abc-"), max_size=24)
+
+
+@given(short_names, short_names, st.integers(0, 3))
+@settings(max_examples=500)
+def test_banded_edit_check_equals_full_distance(a, b, k):
+    assert _within_edits(a, b, k) == (_levenshtein(a, b) <= k)
+
+
+def test_transcription_check_is_linear_in_name_length():
+    # Two names one character apart at the end: the band runs its whole
+    # length. The full matrix took 16x as long at 4x the length.
+    def best_time(length):
+        rng = random.Random(length)
+        stem = "".join(rng.choice("abcdefgh") for _ in range(length - 1))
+        left, right = stem + "x", stem + "y"
+        m = _merged_pairs([(left, right)])
+        assert [h for h, _ in classify_differences(m)] == [DifferenceHint.LIKELY_TRANSCRIPTION]
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            classify_differences(m)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    assert best_time(4000) / best_time(1000) < 8
+
+
+def _merged_pairs(pairs):
     lcomps = [comp("app", "app")]
     rcomps = [comp("app", "app")]
     ledges, redges = [], []
@@ -234,10 +284,14 @@ def _hints(pairs):
         rcomps.append(comp(f"c{i}", r))
         ledges.append(("app", f"c{i}", DEP))
         redges.append(("app", f"c{i}", DEP))
-    m = merge_graphs(
+    return merge_graphs(
         build_graph(doc_from(lcomps, ledges, subject="app")),
         build_graph(doc_from(rcomps, redges, subject="app")),
     )
+
+
+def _hints(pairs):
+    m = _merged_pairs(pairs)
     out = []
     for hint, (lid, rid) in classify_differences(m):
         out.append((hint, (m.left.by_id[lid].name, m.right.by_id[rid].name)))
