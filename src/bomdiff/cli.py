@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: inspect, compare, graph, orgs, licenses. Exit codes: 0 success
-without differences, 1 success with differences, 2 usage error, 3 parse or
-I/O error. Output is byte-reproducible for identical inputs unless
---timestamp is given.
+without differences, 1 success with differences, 2 usage error, 3 parse, I/O
+or out-of-memory error. Output is byte-reproducible for identical inputs
+unless --timestamp is given.
 """
 
 from __future__ import annotations
@@ -284,6 +284,9 @@ def run(argv, stdout=None, stderr=None) -> int:
         return USAGE_ERROR
     except OSError as e:
         err.write(f"error: {e}\n")
+        return PARSE_ERROR
+    except MemoryError:  # uncaught, it would exit 1: "differences found"
+        err.write("error: out of memory\n")
         return PARSE_ERROR
     finally:
         if collecting:

@@ -16,9 +16,10 @@ JSON text before the parse.
 Readers take each field once: a value of the expected type is used as it
 is, any other goes to a checked helper (``_require_str``, ``_opt_str``,
 ``_opt_list``, ``_cell``, ``_hash_pair``) that raises a ParseError at the
-field's JSON path or row. The message's path is built only for an error,
-except the paths of the entries themselves: ``parse_cyclonedx`` builds one
-per component entry and ``parse_spdx`` one per package and relationship.
+field's JSON path or row. A path is built only for a message: a component
+reader names the field after an empty path, and the parser prefixes the
+entry's path, which ``parse_cyclonedx`` rebuilds from each entry's index in
+its parent's array. An array that is missing or null reads as empty.
 
 A parsed document holds each input value once. Every relationship endpoint
 and the subject are their component's id object, and a CycloneDX purl
@@ -33,8 +34,10 @@ Every reader ends in one ``_finish`` call with its components and one set of
 subject to the components nothing else points at, and the HBOM reader has
 folded quantities and checked its expansion bounds. ``_finish`` applies the
 optional name/ecosystem drops, then duplicate collapsing, to those parts and
-builds the parse's only ``BomDocument``, which puts them in canonical order,
-so downstream comparison code never sees source-order artifacts.
+builds the parse's only ``BomDocument`` in canonical order, so downstream
+comparison code never sees source-order artifacts. Values the readers have
+checked are not checked again: components and the document are built
+through ``model``'s private builders.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ from bomdiff.model import (
     Component,
     Relationship,
     RelationshipKind,
+    _component,
+    _document,
     # unused here, but perfbench/traced.py wraps ingest.canonical_form
     canonical_form,  # noqa: F401
 )
@@ -259,33 +264,44 @@ def parse_cyclonedx(
     spec_version = str(data.get("specVersion", ""))
 
     # Flatten nested assemblies first; parents tracked by position because
-    # ids are only assigned afterwards.
+    # ids are only assigned afterwards. Pre-order, with a stack of array
+    # iterators so nesting depth costs no recursion; every child is numbered
+    # after its parent. Top-level entries are at depth 1. Each entry keeps
+    # its index in its parent's array, from which where() builds its path.
     entries: list[dict] = []
     parent_of: list[int | None] = []
-    paths: list[str] = []
+    pos: list[int | None] = []
 
-    # Pre-order, with an explicit stack so nesting depth costs no recursion;
-    # every child is numbered after its parent. Top-level entries are at
-    # depth 1.
-    def children(items, parent_idx, path, depth):
-        if not isinstance(items, list):
-            raise ParseError(f"{path}: expected an array")
-        if items and depth > MAX_NESTING_DEPTH:
-            raise ParseError("$: JSON nested too deeply to decode")
-        return [(e, parent_idx, f"{path}[{i}]", depth)
-                for i, e in reversed(list(enumerate(items)))]
+    def where(i: int | None) -> str:
+        """The JSON path of entry i, or of the top-level array's owner."""
+        if i is not None and pos[i] is None:
+            return "$.metadata.component"
+        path = ""
+        while i is not None:
+            path = f".components[{pos[i]}]{path}"
+            i = parent_of[i]
+        return "$" + path
 
-    stack = children(data.get("components", []), None, "$.components", 1)
+    stack = [(enumerate(_opt_list(data, "components", "$")), None, 1)]
     while stack:
-        entry, parent_idx, here, depth = stack.pop()
-        if not isinstance(entry, dict):
-            raise ParseError(f"{here}: expected an object")
-        entries.append(entry)
-        parent_of.append(parent_idx)
-        paths.append(here)
-        nested = entry.get("components")
-        if nested is not None:
-            stack += children(nested, len(entries) - 1, f"{here}.components", depth + 1)
+        items, parent, depth = stack[-1]
+        for i, entry in items:
+            if not isinstance(entry, dict):
+                raise ParseError(f"{where(parent)}.components[{i}]: expected an object")
+            entries.append(entry)
+            parent_of.append(parent)
+            pos.append(i)
+            nested = entry.get("components")
+            if nested is not None:
+                if not isinstance(nested, list):
+                    raise ParseError(f"{where(len(entries) - 1)}.components: expected an array")
+                if nested:
+                    if depth >= MAX_NESTING_DEPTH:
+                        raise ParseError("$: JSON nested too deeply to decode")
+                    stack.append((enumerate(nested), len(entries) - 1, depth + 1))
+                    break
+        else:
+            stack.pop()
 
     subject_entry = None
     meta = data.get("metadata")
@@ -293,7 +309,7 @@ def parse_cyclonedx(
         subject_entry = meta["component"]
         entries.append(subject_entry)
         parent_of.append(None)
-        paths.append("$.metadata.component")
+        pos.append(None)
 
     # each id maps to itself, so an edge endpoint becomes the id object
     ids: list[str | None] = [None] * len(entries)
@@ -302,13 +318,13 @@ def parse_cyclonedx(
         ref = entry.get("bom-ref")
         if isinstance(ref, str) and ref:
             if ref in taken:
-                raise ParseError(f"{paths[i]}.bom-ref: duplicate '{ref}'")
+                raise ParseError(f"{where(i)}.bom-ref: duplicate '{ref}'")
             ids[i] = taken[ref] = ref
 
     # Refless components get content-derived ids, assigned in content order
     # so permuting the input array cannot change the result.
     refless = [i for i in range(len(entries)) if ids[i] is None]
-    subtree = _subtree_keys(entries, parent_of, refless)
+    subtree = _subtree_keys(entries, parent_of, refless) if refless else None
 
     def content_key(i):
         e = entries[i]
@@ -321,7 +337,10 @@ def parse_cyclonedx(
 
     for i in sorted(refless, key=content_key):
         e = entries[i]
-        base = _opt_str(e, "purl", paths[i]) or (
+        base = e.get("purl")
+        if base is not None and not isinstance(base, str):
+            _opt_str(e, "purl", where(i))  # raises
+        base = base or (
             f"{e.get('name', '')}@{e.get('version')}"
             if e.get("version")
             else str(e.get("name", ""))
@@ -333,14 +352,17 @@ def parse_cyclonedx(
         ids[i] = taken[candidate] = candidate
 
     memo: dict = {}
-    components = [_cdx_component(entry, ids[i], paths[i], memo) for i, entry in enumerate(entries)]
+    extras: dict = {}
+    components = []
+    try:
+        for entry, cid in zip(entries, ids):
+            components.append(_cdx_component(entry, cid, "", memo, extras))
+    except ParseError as e:  # at the entry after the last one built
+        raise ParseError(f"{where(len(components))}{e}") from None
 
     CON, DEP = RelationshipKind.CONTAINS, RelationshipKind.DEPENDS_ON
     edges = {(ids[p], ids[i], CON) for i, p in enumerate(parent_of) if p is not None}
-    deps = data.get("dependencies", [])
-    if not isinstance(deps, list):
-        raise ParseError("$.dependencies: expected an array")
-    for i, dep in enumerate(deps):
+    for i, dep in enumerate(_opt_list(data, "dependencies", "$")):
         if not isinstance(dep, dict):
             raise ParseError(f"$.dependencies[{i}]: expected an object")
         targets = dep.get("dependsOn")
@@ -396,11 +418,21 @@ def _subtree_keys(
     return keys
 
 
-# CycloneDX fields kept in Component.extra, in the order of their extra keys
-_CDX_EXTRA = (("group", "cdx:group"), ("scope", "cdx:scope"), ("type", "cdx:type"))
+# The extra keys of the CycloneDX group, scope and type fields, in order
+_CDX_EXTRA = ("cdx:group", "cdx:scope", "cdx:type")
 
 
-def _cdx_component(entry: dict, cid: str, path: str, memo: dict) -> Component:
+def _cdx_extra(raw: tuple, share) -> tuple:
+    """The extra pairs of the raw (group, scope, type) values."""
+    extra = tuple([share(pair, pair) for pair in zip(_CDX_EXTRA, raw)
+                   if isinstance(pair[1], str) and pair[1]])
+    return share(extra, extra)
+
+
+def _cdx_component(entry: dict, cid: str, path: str, memo: dict, extras: dict) -> Component:
+    """The component of one entry. A message names its field after ``path``,
+    and ``extras`` keeps the extra of each distinct raw (group, scope, type)
+    seen in this parse."""
     get, share = entry.get, memo.setdefault
     name = get("name")
     if type(name) is not str or not name:
@@ -441,13 +473,13 @@ def _cdx_component(entry: dict, cid: str, path: str, memo: dict) -> Component:
             items = _opt_list(entry, "hashes", path)
         hashes = _hash_list(items, "alg", "content", path, "hashes", memo)
 
-    extra = []
-    for key, label in _CDX_EXTRA:
-        value = get(key)
-        if isinstance(value, str) and value:
-            pair = (label, value)
-            extra.append(share(pair, pair))
-    extra = tuple(extra)
+    raw = (get("group"), get("scope"), get("type"))
+    try:
+        extra = extras[raw]
+    except KeyError:
+        extra = extras[raw] = _cdx_extra(raw, share)
+    except TypeError:  # an array or object value, which is never kept
+        extra = _cdx_extra(raw, share)
 
     version, purl, cpe = get("version"), get("purl"), get("cpe")
     if version is not None and (type(version) is not str or not version):
@@ -458,8 +490,7 @@ def _cdx_component(entry: dict, cid: str, path: str, memo: dict) -> Component:
         purl = cid
     if cpe is not None and (type(cpe) is not str or not cpe):
         cpe = _opt_str(entry, "cpe", path)
-    return Component(cid, name, version, purl, cpe, vendor, licenses, hashes, 1,
-                     share(extra, extra))
+    return _component(cid, name, version, purl, cpe, vendor, licenses, hashes, 1, extra)
 
 
 # --------------------------------------------------------------------- SPDX
@@ -473,45 +504,48 @@ def parse_spdx(
         raise ParseError("$.spdxVersion: required field missing")
     spec_version = str(data["spdxVersion"])
 
-    packages = data.get("packages", [])
-    if not isinstance(packages, list):
-        raise ParseError("$.packages: expected an array")
-
-    # each SPDXID maps to itself, so an edge endpoint becomes the id object
-    ids: dict[str, str] = {}
-    parsed: dict[str, dict] = {}
+    # each SPDXID maps to its component, whose id is that SPDXID object
+    parsed: dict[str, Component] = {}
     memo: dict = {}
-    for i, pkg in enumerate(packages):
-        path = f"$.packages[{i}]"
+    for i, pkg in enumerate(_opt_list(data, "packages", "$")):
         if not isinstance(pkg, dict):
-            raise ParseError(f"{path}: expected an object")
-        sid = _require_str(pkg, "SPDXID", path)
+            raise ParseError(f"$.packages[{i}]: expected an object")
+        sid = pkg.get("SPDXID")
+        if type(sid) is not str or not sid:
+            sid = _require_str(pkg, "SPDXID", f"$.packages[{i}]")
         if sid in parsed:
-            raise ParseError(f"{path}.SPDXID: duplicate '{sid}'")
-        parsed[sid] = _spdx_fields(pkg, path, memo)
-        ids[sid] = sid
+            raise ParseError(f"$.packages[{i}].SPDXID: duplicate '{sid}'")
+        try:
+            parsed[sid] = _spdx_component(pkg, sid, "", memo)
+        except ParseError as e:
+            raise ParseError(f"$.packages[{i}]{e}") from None
 
     edges = set()
     subject_id = None
     rel_extra: dict[str, dict[str, list[str]]] = {}
+    kinds = RelationshipKind.__members__  # DEPENDS_ON and CONTAINS
     for i, rel in enumerate(_opt_list(data, "relationships", "$")):
-        path = f"$.relationships[{i}]"
         if not isinstance(rel, dict):
-            raise ParseError(f"{path}: expected an object")
-        rtype = str(_require(rel, "relationshipType", path))
-        a = ids.get(_opt_str(rel, "spdxElementId", path))
-        b = ids.get(_opt_str(rel, "relatedSpdxElement", path))
+            raise ParseError(f"$.relationships[{i}]: expected an object")
+        rtype = rel.get("relationshipType")
+        a, b = rel.get("spdxElementId"), rel.get("relatedSpdxElement")
+        if (type(rtype) is not str or not rtype or not (a is None or type(a) is str)
+                or not (b is None or type(b) is str)):
+            path = f"$.relationships[{i}]"
+            rtype = str(_require(rel, "relationshipType", path))
+            a, b = _opt_str(rel, "spdxElementId", path), _opt_str(rel, "relatedSpdxElement", path)
+        a, b = parsed.get(a), parsed.get(b)
         if rtype == "DESCRIBES":
-            if subject_id is None:
-                subject_id = b
+            if subject_id is None and b is not None:
+                subject_id = b.id
             continue
-        if a is None or b is None or a == b:
+        if a is None or b is None or a is b:
             continue
-        kind = RelationshipKind.__members__.get(rtype)  # DEPENDS_ON or CONTAINS
+        kind = kinds.get(rtype)
         if kind is not None:
-            edges.add((a, b, kind))
+            edges.add((a.id, b.id, kind))
         else:
-            rel_extra.setdefault(a, {}).setdefault(rtype, []).append(b)
+            rel_extra.setdefault(a.id, {}).setdefault(rtype, []).append(b.id)
 
     if subject_id is None:
         described = data.get("documentDescribes")
@@ -519,26 +553,27 @@ def parse_spdx(
             for j, sid in enumerate(described):
                 if not isinstance(sid, str):
                     raise ParseError(f"$.documentDescribes[{j}]: expected a string")
-                if sid in ids:
-                    subject_id = ids[sid]
+                if sid in parsed:
+                    subject_id = parsed[sid].id
                     break
 
-    components = []
-    for sid, fields in parsed.items():
-        extra = fields.pop("extra")
-        if sid in rel_extra:
-            extra = (*extra, *((f"relationship:{rtype}", ",".join(sorted(targets)))
-                               for rtype, targets in sorted(rel_extra[sid].items())))
-        components.append(Component(id=sid, extra=extra, **fields))
+    # unknown relationship types become the source's only extra pairs
+    for sid, targets in rel_extra.items():
+        c = parsed[sid]
+        extra = tuple((f"relationship:{rtype}", ",".join(sorted(ends)))
+                      for rtype, ends in sorted(targets.items()))
+        parsed[sid] = _component(sid, c.name, c.version, c.purl, c.cpe, c.vendor, c.licenses,
+                                 c.hashes, 1, extra)
 
-    return _finish(BomFormat.SPDX_JSON, spec_version, subject_id, components, edges,
+    return _finish(BomFormat.SPDX_JSON, spec_version, subject_id, list(parsed.values()), edges,
                    source_name, opts)
 
 
 _NO_VALUE = ("NOASSERTION", "NONE")
 
 
-def _spdx_fields(pkg: dict, path: str, memo: dict) -> dict:
+def _spdx_component(pkg: dict, sid: str, path: str, memo: dict) -> Component:
+    """The component of one package, with messages as ``_cdx_component``'s."""
     get, share = pkg.get, memo.setdefault
     name = get("name")
     if type(name) is not str or not name:
@@ -594,16 +629,8 @@ def _spdx_fields(pkg: dict, path: str, memo: dict) -> dict:
     version = get("versionInfo")
     if version is not None and (type(version) is not str or not version):
         version = _opt_str(pkg, "versionInfo", path)
-    return {
-        "name": name,
-        "version": version,
-        "purl": purl,
-        "cpe": cpe,
-        "vendor": vendor,
-        "licenses": share(licenses, licenses),
-        "hashes": hashes,
-        "extra": (),
-    }
+    return _component(sid, name, version, purl, cpe, vendor, share(licenses, licenses), hashes,
+                      1, ())
 
 
 # --------------------------------------------------------------------- HBOM
@@ -695,8 +722,8 @@ def _hbom_components(rows) -> tuple[dict[str, Component], dict[str, str], dict[s
         if parent:
             parent_ref[ref] = parent
 
-        # Sorted here (by key, as keys are unique), so Component keeps the
-        # tuple and equal extras share one.
+        # Sorted here (by key, as keys are unique), as _component needs, so
+        # equal extras share one tuple.
         extra = []
         for k, v in row.items():
             if k not in _HBOM_COLUMNS and v is not None:
@@ -704,11 +731,11 @@ def _hbom_components(rows) -> tuple[dict[str, Component], dict[str, str], dict[s
                 if v:
                     pair = (k, v)
                     extra.append(share(pair, pair))
-        extra = tuple(sorted(extra))
+        extra = tuple(sorted(extra)) if extra else ()
         vendor = get("vendor")
         vendor = vendor.strip() if type(vendor) is str else _cell(row, "vendor", n)
-        by_ref[ref] = Component(ref, name, None, None, None, share(vendor, vendor) or None,
-                                (), (), quantity, share(extra, extra))
+        by_ref[ref] = _component(ref, name, None, None, None, share(vendor, vendor) or None,
+                                 (), (), quantity, share(extra, extra))
         row_no[ref] = n
     return by_ref, parent_ref, row_no
 
@@ -861,10 +888,13 @@ def _fold_quantities(components, edges):
     remap: dict[str, str] = {}
     folded: dict[str, Component] = {}
     for group in members.values():
-        keep = min(group, key=lambda c: c.id)
-        remap.update((c.id, keep.id) for c in group if c is not keep)
+        keep = group[0]
         if len(group) > 1:
-            keep = replace(keep, quantity=sum(c.quantity for c in group))
+            keep = min(group, key=lambda c: c.id)
+            remap.update((c.id, keep.id) for c in group if c is not keep)
+            keep = _component(keep.id, keep.name, keep.version, keep.purl, keep.cpe, keep.vendor,
+                              keep.licenses, keep.hashes, sum(c.quantity for c in group),
+                              keep.extra)
         folded[keep.id] = keep
     return [folded[c.id] for c in components if c.id in folded], _rewire(edges, remap)
 
@@ -880,6 +910,8 @@ def _duplicates(components) -> dict[str, str]:
     # those alone.
     counts = Counter(c.purl for c in components)
     shared = {purl for purl, n in counts.items() if n > 1 and purl is not None}
+    if not shared:
+        return {}
     groups: dict[tuple, list[str]] = {}
     for c in components:
         if c.purl not in shared:
@@ -936,8 +968,7 @@ def _finish(fmt: BomFormat, spec_version: str, subject, components, edges,
         components = [c for c in components if c.id not in remap]
         edges = _rewire(edges, remap)
         subject = remap.get(subject, subject)
-    return BomDocument(fmt, spec_version, subject, tuple(components),
-                       tuple(Relationship(s, t, k) for s, t, k in edges), source_name)
+    return _document(fmt, spec_version, subject, components, edges, source_name)
 
 
 # ----------------------------------------------------------------- loading

@@ -5,6 +5,11 @@ rest of the package never has to know which source format a document came
 from. All types are immutable after construction and safe to share across
 threads. A ``BomDocument`` keeps its components and relationships in
 canonical order from construction on, so no later layer sorts them again.
+
+The parsers build through the private ``_component``, ``_relationship`` and
+``_document``, which skip the public constructors' checks and rewrites, on
+values a parser has already made normal (the invariants are listed above
+the builders).
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ class Component:
     Construction checks every field once and rewrites only the fields that
     are not yet normal: ``""`` becomes ``None``, any other iterable becomes a
     tuple (of tuples for ``hashes`` and ``extra``), and ``extra`` is sorted.
-    The parsers hand over normal values, so they pay for the checks alone.
+    The parsers build through ``_component``, which does neither.
     """
 
     id: ComponentId
@@ -147,27 +152,112 @@ class BomDocument:
             self, "components", tuple(sorted(self.components, key=Component.sort_key)))
         object.__setattr__(
             self, "relationships", tuple(sorted(self.relationships, key=Relationship.sort_key)))
-        ids = list(map(_ID, self.components))
-        known = set(ids)
-        if len(known) != len(ids):
-            seen, dupes = set(), set()
-            for i in ids:
-                (dupes if i in seen else seen).add(i)
-            raise ValueError(f"duplicate component ids: {sorted(dupes)}")
-        rels = self.relationships
-        if not (known.issuperset(map(_SOURCE, rels)) and known.issuperset(map(_TARGET, rels))):
-            for rel in rels:
-                for endpoint in (rel.source, rel.target):
-                    if endpoint not in known:
-                        raise ValueError(
-                            f"relationship endpoint {endpoint!r} does not resolve to a component"
-                        )
-        if self.subject is not None and self.subject not in known:
-            raise ValueError(f"subject {self.subject!r} does not resolve to a component")
+        _check(self.components, self.relationships, self.subject)
 
     @cached_property
     def by_id(self) -> Mapping[ComponentId, Component]:
         return {c.id: c for c in self.components}
+
+
+def _check(components, rels, subject) -> None:
+    """Raise ValueError if two components share an id, or if a relationship
+    endpoint (the first, in relationship order) or the subject is no id."""
+    ids = list(map(_ID, components))
+    known = set(ids)
+    if len(known) != len(ids):
+        seen, dupes = set(), set()
+        for i in ids:
+            (dupes if i in seen else seen).add(i)
+        raise ValueError(f"duplicate component ids: {sorted(dupes)}")
+    if not (known.issuperset(map(_SOURCE, rels)) and known.issuperset(map(_TARGET, rels))):
+        for rel in rels:
+            for endpoint in (rel.source, rel.target):
+                if endpoint not in known:
+                    raise ValueError(
+                        f"relationship endpoint {endpoint!r} does not resolve to a component"
+                    )
+    if subject is not None and subject not in known:
+        raise ValueError(f"subject {subject!r} does not resolve to a component")
+
+
+# ---------------------------------------------------- the parsers' builders
+#
+# The builders rely on what the parsers guarantee:
+# - _component: id and name non-empty; version, purl, cpe and vendor None or
+#   a non-empty str; licenses a tuple; hashes a tuple of distinct pairs;
+#   quantity >= 1; extra a sorted tuple of pairs;
+# - _relationship: source and target differ, which it still checks;
+# - _document: component ids distinct and edges distinct; it still checks
+#   that ids are distinct and that endpoints and the subject resolve.
+#
+# Each builder class has the slot layout of the class it builds, so its
+# __init__ sets the fields as plain slot stores and then switches the
+# instance to that class, which Python allows between equal layouts. That
+# costs a third of setting each field through the frozen class's slot
+# descriptor, and skips __post_init__.
+
+
+class _component:
+    """``Component(...)`` of normal values."""
+
+    __slots__ = Component.__slots__
+
+    def __init__(self, cid, name, version, purl, cpe, vendor, licenses, hashes, quantity,
+                 extra):
+        self.id = cid
+        self.name = name
+        self.version = version
+        self.purl = purl
+        self.cpe = cpe
+        self.vendor = vendor
+        self.licenses = licenses
+        self.hashes = hashes
+        self.quantity = quantity
+        self.extra = extra
+        self.__class__ = Component
+
+
+class _relationship:
+    """``Relationship(source, target, kind)``."""
+
+    __slots__ = Relationship.__slots__
+
+    def __init__(self, source, target, kind):
+        if source == target:
+            raise ValueError(f"relationship {source!r}: source and target must differ")
+        self.source = source
+        self.target = target
+        self.kind = kind
+        self.__class__ = Relationship
+
+
+def _document(fmt, spec_version, subject, components, edges, source_name) -> BomDocument:
+    """``BomDocument(...)`` of components and (source, target, kind) edges,
+    in the order of ``sort_key`` without a call per element: sorting plain
+    strings where they decide the order, and key tuples where they do not."""
+    # The sources, then each source's (target, kind value) pairs; the edges
+    # are distinct, so no kind is compared.
+    targets: dict = {}
+    for s, t, k in edges:
+        targets.setdefault(s, []).append((t, k._value_, k))
+    rels = []
+    for s in sorted(targets):
+        rels += [_relationship(s, t, k) for t, _, k in sorted(targets[s])]
+    rels = tuple(rels)
+    _check(components, rels, subject)
+    # Distinct names give the order alone. Otherwise the ids are distinct,
+    # so no two key tuples tie and no component is compared.
+    by_name = {c.name: c for c in components}
+    if len(by_name) == len(components):
+        components = [by_name[name] for name in sorted(by_name)]
+    else:
+        ordered = sorted([(c.name, c.version or "", c.purl or "", c.id, c) for c in components])
+        components = [key[4] for key in ordered]
+    doc = object.__new__(BomDocument)
+    doc.__dict__.update(format=fmt, spec_version=spec_version, subject=subject,
+                        components=tuple(components), relationships=rels,
+                        source_name=source_name)
+    return doc
 
 
 def canonical_form(doc: BomDocument) -> BomDocument:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import bomdiff
+from bomdiff import fuzzy
 from bomdiff.cli import run
 
 
@@ -96,6 +97,18 @@ def test_compare_fuzzy_section(pair):
 def test_compare_threshold_flag_filters(pair):
     _, out, _ = invoke("compare", *pair, "--fuzzy", "--exclude-exact", "--threshold", "0.999")
     assert "fuzzy matches:" not in out
+
+
+def test_out_of_memory_is_exit_3_without_traceback(pair, monkeypatch):
+    # exit 1 would read as "differences found"
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(fuzzy, "all_pairs_matches", exhausted)
+    code, out, err = invoke("compare", "--fuzzy", "--threshold", "0", *pair)
+    assert code == 3
+    assert err == "error: out of memory\n"
+    assert "Traceback" not in err and out == ""
 
 
 def test_threshold_env_honored(pair, monkeypatch):

@@ -292,6 +292,132 @@ def test_spdx_missing_spdxid_reports_path(make_spdx):
         parse_spdx(make_spdx([{"name": "x"}]))
 
 
+# Exact messages of the errors whose JSON paths are built only when needed:
+# nested entries name every array index on the way down.
+def _cdx(components, **top):
+    return {"bomFormat": "CycloneDX", "specVersion": "1.5", "components": components, **top}
+
+
+_LEAF = {"name": "leaf"}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_cdx([_LEAF, {"name": "p", "components": [{"name": "c", "hashes": {}}]}]),
+         "$.components[1].components[0].hashes: expected an array"),
+        (_cdx([{"name": "p", "components": [_LEAF, {"name": "q", "components": [
+            {"name": "c", "version": 3}]}]}]),
+         "$.components[0].components[1].components[0].version: expected a string"),
+        (_cdx([{"name": "p", "components": [_LEAF, {"name": "q", "components": [
+            _LEAF, {"name": "c", "licenses": [5]}]}]}]),
+         "$.components[0].components[1].components[1].licenses[0]: expected an object"),
+        (_cdx([_LEAF, {"name": "p", "components": [_LEAF, {"components": []}]}]),
+         "$.components[1].components[1].name: required field missing or empty"),
+        (_cdx([{"name": "p", "components": [_LEAF, "c"]}]),
+         "$.components[0].components[1]: expected an object"),
+        (_cdx([_LEAF, {"name": "p", "components": [{"name": "q", "components": [None]}]}]),
+         "$.components[1].components[0].components[0]: expected an object"),
+        (_cdx([_LEAF, {"name": "p", "components": {"name": "c"}}]),
+         "$.components[1].components: expected an array"),
+        (_cdx([{"name": "p", "components": [_LEAF, {"name": "q", "components": "c"}]}]),
+         "$.components[0].components[1].components: expected an array"),
+        (_cdx([{"bom-ref": "a", "name": "a"},
+               {"name": "p", "components": [{"bom-ref": "a", "name": "b"}]}]),
+         "$.components[1].components[0].bom-ref: duplicate 'a'"),
+        (_cdx([{"bom-ref": "a", "name": "a"}], metadata={"component": {"bom-ref": "a"}}),
+         "$.metadata.component.bom-ref: duplicate 'a'"),
+        (_cdx([_LEAF], metadata={"component": {"bom-ref": "app"}}),
+         "$.metadata.component.name: required field missing or empty"),
+        (_cdx([_LEAF], metadata={"component": {"name": "app", "cpe": ["x"]}}),
+         "$.metadata.component.cpe: expected a string"),
+        (_cdx([_LEAF, {"name": "p", "components": [{"name": "c", "purl": 7}]}]),
+         "$.components[1].components[0].purl: expected a string"),
+        (_cdx([{"name": "p", "supplier": {"name": 1}}]),
+         "$.components[0].supplier.name: expected a string"),
+        (_cdx([_LEAF], dependencies=[{"ref": "x"}, 4]),
+         "$.dependencies[1]: expected an object"),
+    ],
+)
+def test_cyclonedx_error_paths(data, message):
+    with pytest.raises(ParseError) as e:
+        parse_cyclonedx(data)
+    assert str(e.value) == message
+
+
+_PKG = {"SPDXID": "SPDXRef-a", "name": "a"}
+
+
+def _spdx(packages, relationships=None):
+    data = {"spdxVersion": "SPDX-2.3", "packages": packages}
+    if relationships is not None:
+        data["relationships"] = relationships
+    return data
+
+
+def _rel(a="SPDXRef-a", b="SPDXRef-a", kind="DEPENDS_ON"):
+    return {"spdxElementId": a, "relatedSpdxElement": b, "relationshipType": kind}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_spdx([_PKG], [_rel(), {"spdxElementId": "SPDXRef-a"}]),
+         "$.relationships[1].relationshipType: required field missing or empty"),
+        (_spdx([_PKG], [_rel(kind="")]),
+         "$.relationships[0].relationshipType: required field missing or empty"),
+        (_spdx([_PKG], [_rel(a=5)]), "$.relationships[0].spdxElementId: expected a string"),
+        (_spdx([_PKG], [_rel(), _rel(), _rel(b=["SPDXRef-a"])]),
+         "$.relationships[2].relatedSpdxElement: expected a string"),
+        # the type is checked first, then the two ends in order
+        (_spdx([_PKG], [{"spdxElementId": 1, "relatedSpdxElement": 2}]),
+         "$.relationships[0].relationshipType: required field missing or empty"),
+        (_spdx([_PKG], [_rel(a=1, b=2)]), "$.relationships[0].spdxElementId: expected a string"),
+        (_spdx([_PKG], [_rel(), "x"]), "$.relationships[1]: expected an object"),
+        (_spdx([_PKG], {}), "$.relationships: expected an array"),
+        (_spdx([_PKG, 3]), "$.packages[1]: expected an object"),
+        (_spdx([_PKG, {"name": "b"}]), "$.packages[1].SPDXID: required field missing or empty"),
+        (_spdx([_PKG, {"SPDXID": 9, "name": "b"}]), "$.packages[1].SPDXID: expected a string"),
+        (_spdx([_PKG, {"SPDXID": "SPDXRef-a", "name": "b"}]),
+         "$.packages[1].SPDXID: duplicate 'SPDXRef-a'"),
+        (_spdx([_PKG, {"SPDXID": "SPDXRef-b"}]),
+         "$.packages[1].name: required field missing or empty"),
+        (_spdx([_PKG, {"SPDXID": "SPDXRef-b", "name": "b", "checksums": [{"algorithm": "MD5"}]}]),
+         "$.packages[1].checksums[0].checksumValue: required field missing or empty"),
+    ],
+)
+def test_spdx_error_paths(data, message):
+    with pytest.raises(ParseError) as e:
+        parse_spdx(data)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        (_cdx([_LEAF], metadata={"component": {"bom-ref": "app", "name": "app"}}), "components"),
+        (_cdx([{"bom-ref": "a", "name": "a"}, {"bom-ref": "b", "name": "b"}],
+              dependencies=[{"ref": "a", "dependsOn": ["b"]}]), "dependencies"),
+        (_spdx([_PKG], [_rel(b="SPDXRef-a", kind="DESCRIBES")]), "packages"),
+        (_spdx([_PKG], [_rel(b="SPDXRef-a", kind="DESCRIBES")]), "relationships"),
+    ],
+)
+def test_null_top_level_array_reads_as_empty(data, key):
+    # the rule of every optional array: missing or null reads as empty
+    missing = {k: v for k, v in data.items() if k != key}
+    assert parse_document(json.dumps({**data, key: None}).encode()) == \
+        parse_document(json.dumps(missing).encode())
+    assert parse_document(json.dumps(missing).encode()) != parse_document(json.dumps(data).encode())
+
+
+def test_spdx_relationship_type_is_read_through_str(make_spdx):
+    # a non-string type is kept by its text, as an unknown relationship
+    pkgs = [_PKG, {"SPDXID": "SPDXRef-b", "name": "b"}]
+    doc = parse_spdx(_spdx(pkgs, [_rel(b="SPDXRef-b", kind=5)]))
+    assert doc.relationships == ()
+    assert doc.by_id["SPDXRef-a"].extra == (("relationship:5", "SPDXRef-b"),)
+
+
 def test_hbom_basic_fold(make_hbom):
     raw = make_hbom(
         [

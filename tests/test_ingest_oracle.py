@@ -1,23 +1,26 @@
 """One-pass field readers against the readers they replaced.
 
-``_cdx_component``, ``_spdx_fields`` and the HBOM row loop read each field
-once and hand ``Component`` values that are already normal, and
-``Component.__post_init__`` rewrites only the fields that are not. The
-versions they replaced stay here as the reference: every field through a
-checked helper, and a ``Component`` that rebuilt every field. On entries
-whose fields come from the fuzz gate's value pool, old and new give an equal
-component or a ParseError with the same message.
+``_cdx_component``, ``_spdx_component`` and the HBOM row loop read each
+field once and build components of values that are already normal through
+``model._component``, and ``Component.__post_init__`` rewrites only the
+fields that are not. The versions they replaced stay here as the reference:
+every field through a checked helper, and a ``Component`` that rebuilt every
+field. On entries whose fields come from the fuzz gate's value pool, old and
+new give an equal component or a ParseError with the same message. The
+public constructors are the reference for the private builders, and no
+parse calls them.
 """
 
-from dataclasses import dataclass, fields
+import json
+from dataclasses import dataclass, fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bomdiff import ingest
-from bomdiff.ingest import MAX_HBOM_QUANTITY, ParseError, _QUANTITY
-from bomdiff.model import Component
+from bomdiff import ingest, model
+from bomdiff.ingest import MAX_HBOM_QUANTITY, IngestOptions, ParseError, _QUANTITY
+from bomdiff.model import BomDocument, Component, Relationship, RelationshipKind
 from test_cli_fuzz import _VALUES
 
 # ------------------------------------------------------------ the reference
@@ -355,7 +358,7 @@ _HBOM_ROW = _obj(
 def test_cdx_component_matches_old_reader(entry, k):
     path = f"$.components[{k}]"
     old = _outcome(old_cdx_component, entry, "id", path)
-    new = _outcome(ingest._cdx_component, entry, "id", path, {})
+    new = _outcome(ingest._cdx_component, entry, "id", path, {}, {})
     assert _same(old, new), (old, new)
 
 
@@ -363,11 +366,9 @@ def test_cdx_component_matches_old_reader(entry, k):
 @settings(max_examples=500, deadline=None)
 def test_spdx_fields_match_old_reader(pkg, k):
     path = f"$.packages[{k}]"
-    old = _outcome(old_spdx_fields, pkg, path)
-    new = _outcome(ingest._spdx_fields, pkg, path, {})
-    assert old == new, (old, new)
-    if old[0] == "ok":
-        assert _values(OldComponent(id="id", **old[1])) == _values(Component(id="id", **new[1]))
+    old = _outcome(lambda *a: OldComponent(id="id", **old_spdx_fields(*a)), pkg, path)
+    new = _outcome(ingest._spdx_component, pkg, "id", path, {})
+    assert _same(old, new), (old, new)
 
 
 @given(st.lists(_HBOM_ROW, max_size=4))
@@ -425,7 +426,7 @@ def test_component_matches_old_post_init(cid, name, version, purl, cpe, vendor,
     ],
 )
 def test_cdx_component_messages(entry, message):
-    for read in (old_cdx_component, lambda *a: ingest._cdx_component(*a, {})):
+    for read in (old_cdx_component, lambda *a: ingest._cdx_component(*a, {}, {})):
         with pytest.raises(ParseError) as e:
             read(entry, "id", "$.components[3]")
         assert str(e.value) == message
@@ -447,7 +448,118 @@ def test_cdx_component_messages(entry, message):
     ],
 )
 def test_spdx_fields_messages(pkg, message):
-    for read in (old_spdx_fields, lambda *a: ingest._spdx_fields(*a, {})):
+    for read in (old_spdx_fields, lambda pkg, path: ingest._spdx_component(pkg, "id", path, {})):
         with pytest.raises(ParseError) as e:
             read(pkg, "$.packages[3]")
         assert str(e.value) == message
+
+
+# ------------------------------------------------------ the private builders
+#
+# The parsers build through model._component, _relationship and _document,
+# which skip the public constructors' checks and sorts. On values a parser
+# makes normal, the public constructors stay the reference.
+
+_NORMAL_STR = st.none() | st.sampled_from(["x", "1.0", "pkg:npm/a@1", " "])
+
+
+@given(st.tuples(
+    st.sampled_from(["a", "pkg:npm/a@1"]),
+    st.sampled_from(["n", "zlib"]),
+    _NORMAL_STR, _NORMAL_STR, _NORMAL_STR, _NORMAL_STR,
+    st.lists(st.sampled_from(["MIT", "Zlib"]), unique=True).map(tuple),
+    st.lists(st.sampled_from([("SHA256", "aa"), ("MD5", "bb"), ("MD5", "aa")]),
+             unique=True).map(tuple),
+    st.integers(1, 5),
+    st.lists(st.tuples(st.sampled_from(["k", "cdx:type"]), st.sampled_from(["v", "1"])))
+    .map(sorted).map(tuple),
+))
+@settings(max_examples=300, deadline=None)
+def test_component_builder_matches_public_constructor(args):
+    built, public = model._component(*args), Component(*args)
+    assert type(built) is Component
+    assert _values(built) == _values(public)
+    assert built == public and hash(built) == hash(public) and repr(built) == repr(public)
+    assert replace(built, quantity=7) == replace(public, quantity=7)
+
+
+@given(st.sampled_from(["a", "b"]), st.sampled_from(["a", "b"]), st.sampled_from(RelationshipKind))
+def test_relationship_builder_matches_public_constructor(source, target, kind):
+    built = _outcome(model._relationship, source, target, kind)
+    public = _outcome(Relationship, source, target, kind)
+    assert built == public
+    if built[0] == "ok":
+        assert type(built[1]) is Relationship and hash(built[1]) == hash(public[1])
+
+
+# ------------------------------------------------ the parsers stay off the
+# public path: a change that falls back to it fails here, not only in the
+# benchmark.
+
+
+def _generated_inputs(n=240):
+    """A CycloneDX, an SPDX and an HBOM document of n components each, with
+    nesting, refless entries, a subject, duplicates, unknown relationship
+    types and rows that fold."""
+    comps = []
+    for i in range(n):
+        c = {"bom-ref": f"c{i}", "name": f"lib-{i % 50}", "version": str(i % 3),
+             "purl": f"pkg:npm/lib-{i % 50}@{i % 3}", "type": "library",
+             "hashes": [{"alg": "SHA-256", "content": f"{i % 50:064x}"}],
+             "licenses": [{"license": {"id": "MIT"}}]}
+        if i % 10 == 0:
+            c["components"] = [{"name": f"part-{i}", "supplier": {"name": "Acme"}}]
+        comps.append(c)
+    cdx = {"bomFormat": "CycloneDX", "specVersion": "1.5", "components": comps,
+           "metadata": {"component": {"bom-ref": "app", "name": "app"}},
+           "dependencies": [{"ref": f"c{i}", "dependsOn": [f"c{i + 1}", f"c{i + 2}"]}
+                            for i in range(n - 2)]}
+    packages = [{"SPDXID": f"SPDXRef-{i}", "name": f"p{i % 60}", "versionInfo": "1",
+                 "supplier": "Organization: Acme",
+                 "externalRefs": [{"referenceType": "purl",
+                                   "referenceLocator": f"pkg:pypi/p{i % 60}@1"}],
+                 "checksums": [{"algorithm": "SHA1", "checksumValue": f"{i % 60:040x}"}]}
+                for i in range(n)]
+    kinds = ["DEPENDS_ON", "CONTAINS", "OTHER", "DEV_DEPENDENCY_OF"]
+    rels = [{"spdxElementId": f"SPDXRef-{i}", "relatedSpdxElement": f"SPDXRef-{i + 1}",
+             "relationshipType": kinds[i % 4]} for i in range(n - 1)]
+    rels.append({"spdxElementId": "SPDXRef-DOCUMENT", "relatedSpdxElement": "SPDXRef-0",
+                 "relationshipType": "DESCRIBES"})
+    spdx = {"spdxVersion": "SPDX-2.3", "packages": packages, "relationships": rels}
+    rows = ["ref,name,parent,vendor,quantity,color"]
+    rows += [f"r{i},part-{i % 2},{f'r{i // 4}' if i else ''},acme,{1 + i % 3},red"
+             for i in range(n)]
+    hbom = ("\n".join(rows) + "\n").encode()
+    return [json.dumps(cdx).encode(), json.dumps(spdx).encode(), hbom]
+
+
+def test_parsers_never_take_the_public_path(monkeypatch):
+    calls = []
+
+    def counted(owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(self):
+            calls.append(f"{owner.__name__}.{attr}")
+            return fn(self)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for owner, attr in ((Component, "__post_init__"), (Component, "sort_key"),
+                        (Relationship, "__post_init__"), (Relationship, "sort_key"),
+                        (BomDocument, "__post_init__")):
+        counted(owner, attr)
+    docs = []
+    for raw in _generated_inputs():
+        for opts in (IngestOptions(), IngestOptions(dedup=False, fold_quantities=False),
+                     IngestOptions(drop_name_prefixes=("lib-1", "p1", "part-1"))):
+            docs.append(ingest.parse_document(raw, opts))
+    assert calls == []
+    # per input: normalized, as read, and normalized less the drops
+    sizes = [len(d.components) for d in docs]
+    for normalized, plain, dropped in zip(*[iter(sizes)] * 3):
+        assert plain >= 200 and dropped < normalized < plain
+    assert all(d.relationships for d in docs)
+    # the wrappers count: the public constructors still go through them
+    Component("x", "x")
+    assert calls == ["Component.__post_init__"]

@@ -7,7 +7,9 @@ components and (source, target, kind) edges and builds the parse's one
 ``replace``, and ``dedup_components`` rewired ``Relationship`` objects into
 one pair set per kind. Applied to the document parsed with dedup off and no
 prefixes, the reference gives a document equal to the one the parser builds
-with the same options.
+with the same options. The parser builds that document through the private
+builders of ``model``; ``BomDocument``, given the same parts in any order,
+builds an equal one.
 """
 
 import io
@@ -18,7 +20,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bomdiff import ingest
+from bomdiff import ingest, model
 from bomdiff.cli import run as cli_run
 from bomdiff.ingest import IngestOptions, _purl_type, parse_document
 from bomdiff.model import BomDocument, Component, Relationship, RelationshipKind
@@ -215,6 +217,36 @@ def test_finish_matches_document_level_reference(raw, prefixes, dedup, fold):
     assert ingest.dedup_components(parsed) == dedup_components(parsed)
 
 
+def _exact(doc: BomDocument) -> list:
+    """Each component's fields with their types, in document order."""
+    return [tuple((type(v), v) for v in map(c.__getattribute__, Component.__slots__))
+            for c in doc.components]
+
+
+@given(cyclonedx_inputs() | spdx_inputs() | hbom_inputs(), _PREFIXES, st.booleans(),
+       st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=400, deadline=None)
+def test_finish_document_matches_public_constructors(raw, prefixes, dedup, fold, rnd):
+    # The parser builds components, relationships and the document without
+    # their public constructors; the public ones, given the same parts in
+    # any order, build the same document.
+    opts = IngestOptions(dedup=dedup, fold_quantities=fold, drop_name_prefixes=prefixes)
+    doc = parse_document(raw, opts)
+    components = [Component(*map(c.__getattribute__, Component.__slots__))
+                  for c in doc.components]
+    edges = [(r.source, r.target, r.kind) for r in doc.relationships]
+    rnd.shuffle(components)
+    rnd.shuffle(edges)
+    public = BomDocument(doc.format, doc.spec_version, doc.subject, tuple(components),
+                         tuple(Relationship(*e) for e in edges), doc.source_name)
+    assert doc == public and _exact(doc) == _exact(public)
+    # _finish on the shuffled parts, whose drops and dedup are already done
+    again = ingest._finish(doc.format, doc.spec_version, doc.subject, components, edges,
+                           doc.source_name, opts)
+    assert again == public and _exact(again) == _exact(public)
+    assert all(type(r) is Relationship for r in again.relationships)
+
+
 def _both_fire(make_cdx) -> bytes:
     # "tool-x" is dropped by name, c3 with its nesting edge; c1 and c2 share
     # purl and metadata, so c2 collapses into c1 and its edge is rewired
@@ -229,14 +261,16 @@ def _both_fire(make_cdx) -> bytes:
 
 def test_drop_and_dedup_build_one_document(monkeypatch, make_cdx):
     raw, opts = _both_fire(make_cdx), IngestOptions(drop_name_prefixes=("tool-",))
+    # every document, built by the parser or through the public
+    # constructor, is checked once by model._check
     built = []
-    post_init = BomDocument.__post_init__
+    check = model._check
 
-    def counted(self):
-        built.append(self)
-        post_init(self)
+    def counted(components, rels, subject):
+        built.append(components)
+        check(components, rels, subject)
 
-    monkeypatch.setattr(BomDocument, "__post_init__", counted)
+    monkeypatch.setattr(model, "_check", counted)
     expected = _finish(parse_document(raw, IngestOptions(dedup=False)), opts)
     assert [c.id for c in expected.components] == ["c4", "c1"]
     assert [(r.source, r.target) for r in expected.relationships] == [("c4", "c1")]
