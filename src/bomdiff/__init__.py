@@ -1,91 +1,73 @@
-"""Normalize, compare, and visualize software and hardware bills of materials."""
+"""Normalize, compare, and visualize software and hardware bills of materials.
 
-from bomdiff.flatcompare import (
-    ConsistencyCategory,
-    ConsistencyFinding,
-    FieldSelector,
-    MultisetDiff,
-    cross_field_consistency,
-    extract_field,
-    extract_organization,
-    multiset_diff,
-    organization_delta,
-    set_diff,
-)
-from bomdiff.fuzzy import (
-    ConfigError,
-    FuzzyConfig,
-    FuzzyMatch,
-    all_pairs_matches,
-    jaro,
-    jaro_winkler,
-)
-from bomdiff.graphcompare import (
-    BomGraph,
-    MergedGraph,
-    build_graph,
-    match_stats,
-    merge_graphs,
-    structure_constrained_reduction,
-)
-from bomdiff.ingest import (
-    IngestOptions,
-    ParseError,
-    UnknownFormatError,
-    dedup_components,
-    detect_format,
-    load_document,
-    parse_cyclonedx,
-    parse_document,
-    parse_hbom,
-    parse_spdx,
-)
-from bomdiff.model import BomDocument, BomFormat, Component, Relationship, RelationshipKind
-from bomdiff.report import DiffReport, classify_differences, render_json, render_table, to_dot
+The public names below load their module on first access (PEP 562), so
+``import bomdiff`` loads no submodule and a CLI command loads only the
+modules it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BomDocument",
-    "BomFormat",
-    "BomGraph",
-    "Component",
-    "ConfigError",
-    "ConsistencyCategory",
-    "ConsistencyFinding",
-    "DiffReport",
-    "FieldSelector",
-    "FuzzyConfig",
-    "FuzzyMatch",
-    "IngestOptions",
-    "MergedGraph",
-    "MultisetDiff",
-    "ParseError",
-    "Relationship",
-    "RelationshipKind",
-    "UnknownFormatError",
-    "all_pairs_matches",
-    "build_graph",
-    "classify_differences",
-    "cross_field_consistency",
-    "dedup_components",
-    "detect_format",
-    "extract_field",
-    "extract_organization",
-    "jaro",
-    "jaro_winkler",
-    "load_document",
-    "match_stats",
-    "merge_graphs",
-    "multiset_diff",
-    "organization_delta",
-    "parse_cyclonedx",
-    "parse_document",
-    "parse_hbom",
-    "parse_spdx",
-    "render_json",
-    "render_table",
-    "set_diff",
-    "structure_constrained_reduction",
-    "to_dot",
-]
+_EXPORTS = {
+    "flatcompare": (
+        "ConsistencyCategory",
+        "ConsistencyFinding",
+        "FieldSelector",
+        "MultisetDiff",
+        "cross_field_consistency",
+        "extract_field",
+        "extract_organization",
+        "multiset_diff",
+        "organization_delta",
+        "set_diff",
+    ),
+    "fuzzy": (
+        "ConfigError",
+        "FuzzyConfig",
+        "FuzzyMatch",
+        "all_pairs_matches",
+        "jaro",
+        "jaro_winkler",
+    ),
+    "graphcompare": (
+        "BomGraph",
+        "MergedGraph",
+        "build_graph",
+        "match_stats",
+        "merge_graphs",
+        "structure_constrained_reduction",
+    ),
+    "ingest": (
+        "IngestOptions",
+        "ParseError",
+        "UnknownFormatError",
+        "dedup_components",
+        "detect_format",
+        "load_document",
+        "parse_cyclonedx",
+        "parse_document",
+        "parse_hbom",
+        "parse_spdx",
+    ),
+    "model": ("BomDocument", "BomFormat", "Component", "Relationship", "RelationshipKind"),
+    "report": ("DiffReport", "classify_differences", "render_json", "render_table", "to_dot"),
+}
+
+# public name -> the submodule that defines it
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

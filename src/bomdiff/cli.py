@@ -4,20 +4,29 @@ Subcommands: inspect, compare, graph, orgs, licenses. Exit codes: 0 success
 without differences, 1 success with differences, 2 usage error, 3 parse, I/O
 or out-of-memory error. Output is byte-reproducible for identical inputs
 unless --timestamp is given.
+
+Each command loads only the modules it runs: ``graphcompare`` is imported
+for ``graph`` alone, ``fuzzy`` for ``graph`` and ``compare --fuzzy``, and
+``datetime`` for ``--timestamp``. ``main`` freezes the heap before the
+process exits, so the interpreter's final collection does not walk it;
+``run`` leaves the caller's collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import datetime
 import gc
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from bomdiff import flatcompare, fuzzy, graphcompare, ingest, report
+from bomdiff import flatcompare, ingest, report
 from bomdiff.flatcompare import FieldSelector
 from bomdiff.model import BomFormat
+
+if TYPE_CHECKING:
+    from bomdiff import fuzzy
 
 _FIELD_CHOICES = {s.value: s for s in FieldSelector if s is not FieldSelector.CPE}
 _DEFAULT_FIELDS = tuple(_FIELD_CHOICES)
@@ -127,6 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _fuzzy_config(args) -> fuzzy.FuzzyConfig:
     """--threshold, else BOMDIFF_THRESHOLD, else FuzzyConfig's default."""
+    from bomdiff import fuzzy
+
     threshold = args.threshold
     env = os.environ.get("BOMDIFF_THRESHOLD")
     if threshold is None and env:
@@ -157,6 +168,8 @@ def _load_two(args) -> tuple:
 
 def _emit(out, args, text: str):
     if args.timestamp:
+        import datetime
+
         now = datetime.datetime.now(datetime.timezone.utc).isoformat()
         out.write(f"generated: {now}\n")
     out.write(text)
@@ -177,6 +190,8 @@ def _compare_report(args, left, right) -> report.DiffReport:
     field_diffs = {sel: diff_fn(lvals[sel], rvals[sel]) for sel in fields}
     matches = ()
     if args.fuzzy:
+        from bomdiff import fuzzy
+
         matches = tuple(
             fuzzy.all_pairs_matches(
                 set(lvals[FieldSelector.NAME]),
@@ -205,6 +220,8 @@ def _cmd_compare(args):
 
 
 def _cmd_graph(args):
+    from bomdiff import graphcompare
+
     left, right = _load_two(args)
     cfg = _fuzzy_config(args)
     gl = graphcompare.build_graph(left)
@@ -246,6 +263,13 @@ def _cmd_licenses(args):
     return report.render_licenses(rep, coverage), rep
 
 
+def _config_errors() -> tuple:
+    """fuzzy's ConfigError, if fuzzy is loaded. Only the commands that import
+    fuzzy can raise it, so the others need not load it to catch it."""
+    fuzzy = sys.modules.get("bomdiff.fuzzy")
+    return () if fuzzy is None else (fuzzy.ConfigError,)
+
+
 _COMMANDS = {
     "inspect": _cmd_inspect,
     "compare": _cmd_compare,
@@ -279,7 +303,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     except (ingest.ParseError, ingest.UnknownFormatError) as e:
         err.write(f"error: {e}\n")
         return PARSE_ERROR
-    except fuzzy.ConfigError as e:
+    except _config_errors() as e:
         err.write(f"error: {e}\n")
         return USAGE_ERROR
     except OSError as e:
@@ -296,7 +320,12 @@ def run(argv, stdout=None, stderr=None) -> int:
 def main():
     # a name may hold a lone surrogate (valid JSON); escape it as stderr does
     sys.stdout.reconfigure(errors="backslashreplace")
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # Everything the command allocated dies with the process. The collection
+    # the interpreter runs at exit skips frozen objects; it would otherwise
+    # walk the whole heap once more.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

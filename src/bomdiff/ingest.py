@@ -42,13 +42,13 @@ through ``model``'s private builders.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from bomdiff.model import (
     BomDocument,
@@ -61,6 +61,9 @@ from bomdiff.model import (
     # unused here, but perfbench/traced.py wraps ingest.canonical_form
     canonical_form,  # noqa: F401
 )
+
+if TYPE_CHECKING:  # loaded on first use, for CSV input only
+    import csv
 
 
 class ParseError(ValueError):
@@ -785,6 +788,8 @@ def _hbom_rows(raw) -> list[tuple[int, dict]]:
             out.append((i + 1, {str(k): item[k] for k in item}))
         return out
 
+    import csv
+
     reader, header = _csv_table(raw.text)
     if header is None:
         raise ParseError("row 1: missing CSV header")
@@ -817,6 +822,8 @@ def _csv_table(text: str) -> tuple[csv.DictReader, list[str] | None]:
     """A row reader over CSV text and its header: the first record, cells
     stripped, or None. Detection and the HBOM parser both read it here, so
     they agree on what a ref/name table is."""
+    import csv
+
     lines = io.StringIO(text)
     if "\0" in text:
         lines = _refuse_nul(lines)
@@ -831,6 +838,8 @@ def _csv_table(text: str) -> tuple[csv.DictReader, list[str] | None]:
 def _refuse_nul(lines):
     """The lines, refusing one that holds a NUL as the ``csv`` module did
     before Python 3.11, which reads NUL as data."""
+    import csv
+
     for line in lines:
         if "\0" in line:
             raise csv.Error("line contains NUL")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from bomdiff import flatcompare
 from bomdiff.flatcompare import (
@@ -19,9 +20,11 @@ from bomdiff.flatcompare import (
     FieldSelector,
     MultisetDiff,
 )
-from bomdiff.fuzzy import FuzzyMatch
-from bomdiff.graphcompare import MergedGraph, match_stats
 from bomdiff.model import BomDocument
+
+if TYPE_CHECKING:  # only commands that build these load their modules
+    from bomdiff.fuzzy import FuzzyMatch
+    from bomdiff.graphcompare import MergedGraph
 
 SCHEMA_VERSION = "1"
 
@@ -204,6 +207,8 @@ def _graph_names(merged: MergedGraph) -> tuple:
 
 def graph_stats_line(merged: MergedGraph) -> str:
     """The one-line partition summary."""
+    from bomdiff.graphcompare import match_stats
+
     stats = match_stats(merged)._asdict().items()
     return " ".join(f"{k}={v}" for k, v in stats) + "\n"
 
@@ -236,6 +241,8 @@ def _diff_dict(diff: MultisetDiff) -> dict:
 
 
 def _graph_dict(merged: MergedGraph) -> dict:
+    from bomdiff.graphcompare import match_stats
+
     left_only, right_only, links = _graph_names(merged)
     return {
         "stats": match_stats(merged)._asdict(),

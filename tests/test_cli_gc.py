@@ -2,17 +2,23 @@
 
 That is only safe if no command leaves reference cycles behind in
 proportion to its input, and only polite if the caller gets its own
-collector setting back on every exit path.
+collector setting back on every exit path. cli.main, which owns the
+process, also freezes the heap before it exits; run does not.
 """
 
 import gc
 import io
 import json
+import os
 import random
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bomdiff
 from bomdiff import graphcompare
 from bomdiff.cli import run
 
@@ -136,13 +142,35 @@ def test_run_restores_the_callers_collector_state(pair, monkeypatch, argv, env, 
         return real(*args)
 
     monkeypatch.setattr(graphcompare, "merge_graphs", spy)
+    frozen = gc.get_freeze_count()
     try:
         if not enabled:
             gc.disable()
         assert run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == code
         assert gc.isenabled() is enabled
+        # only main freezes: a library caller keeps a collector that sees its heap
+        assert gc.get_freeze_count() == frozen
     finally:
         gc.enable()
     # the collector is off while a command merges graphs
     assert seen == ([False] if argv[0] == "graph" and code == 1 else [])
 
+
+
+def test_main_writes_all_of_a_large_output_into_a_pipe(tmp_path):
+    # main freezes the heap and exits; the whole output must still reach a
+    # reader that drains a pipe more slowly than the command fills it
+    left, right = tmp_path / "l.json", tmp_path / "r.json"
+    left.write_bytes(_cdx(2000))
+    right.write_bytes(_cdx(2000, rename=True))
+    argv = ["compare", "--format", "json", str(left), str(right)]
+    out = io.StringIO()
+    code = run(argv, stdout=out, stderr=io.StringIO())
+    assert code == 1 and len(out.getvalue()) > 8 * 65536  # many pipe buffers
+    src = str(Path(bomdiff.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "BOMDIFF_THRESHOLD"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    r = subprocess.run([sys.executable, "-m", "bomdiff.cli", *argv],
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert (r.returncode, r.stderr) == (code, b"")
+    assert r.stdout == out.getvalue().encode()
