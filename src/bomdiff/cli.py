@@ -6,8 +6,9 @@ or out-of-memory error. Output is byte-reproducible for identical inputs
 unless --timestamp is given.
 
 Each command loads only the modules it runs: ``graphcompare`` is imported
-for ``graph`` alone, ``fuzzy`` for ``graph`` and ``compare --fuzzy``, and
-``datetime`` for ``--timestamp``. ``main`` freezes the heap before the
+for ``graph`` alone, ``flatcompare`` for every command but ``graph``,
+``fuzzy`` for ``graph`` and ``compare --fuzzy``, and ``datetime`` for
+``--timestamp``. ``main`` freezes the heap before the
 process exits, so the interpreter's final collection does not walk it;
 ``run`` leaves the caller's collector as it found it.
 """
@@ -21,9 +22,8 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from bomdiff import flatcompare, ingest, report
-from bomdiff.flatcompare import FieldSelector
-from bomdiff.model import BomFormat
+from bomdiff import ingest, report
+from bomdiff.model import BomFormat, FieldSelector
 
 if TYPE_CHECKING:
     from bomdiff import fuzzy
@@ -181,6 +181,8 @@ def _cmd_inspect(args):
 
 
 def _compare_report(args, left, right) -> report.DiffReport:
+    from bomdiff import flatcompare
+
     fields = [_FIELD_CHOICES[f] for f in (args.field or _DEFAULT_FIELDS)]
     # each (side, field) is extracted once; --fuzzy reuses the name counters
     wanted = dict.fromkeys(fields + ([FieldSelector.NAME] if args.fuzzy else []))
@@ -237,6 +239,8 @@ def _cmd_graph(args):
 
 
 def _cmd_orgs(args):
+    from bomdiff import flatcompare
+
     left, right = _load_two(args)
     excludes = () if args.no_default_excludes else flatcompare.JAVA_STDLIB_ORG_PREFIXES
     delta = flatcompare.organization_delta(left, right, excludes + tuple(args.exclude or ()))
@@ -248,6 +252,8 @@ def _cmd_orgs(args):
 
 
 def _cmd_licenses(args):
+    from bomdiff import flatcompare
+
     left, right = _load_two(args)
     lvals = flatcompare.extract_field(left, FieldSelector.LICENSE)
     rvals = flatcompare.extract_field(right, FieldSelector.LICENSE)

@@ -13,21 +13,11 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 
-from bomdiff.model import BomDocument, Component
+from bomdiff.model import BomDocument, Component, FieldSelector
 
 # Default scope filter for organization comparisons; the Java runtime's own
 # namespaces say nothing about third-party suppliers.
 JAVA_STDLIB_ORG_PREFIXES = ("java.", "javax.", "jdk.", "sun.", "com.sun.")
-
-
-class FieldSelector(Enum):
-    NAME = "name"
-    PURL = "purl"
-    CPE = "cpe"
-    VENDOR = "vendor"
-    LICENSE = "license"
-    HASH_DIGEST = "hash"
-    ORGANIZATION = "org"
 
 
 def _org_values(c: Component) -> tuple[str, ...]:

@@ -12,6 +12,19 @@ edges (0 contains, 1 depends-on, as ``.value`` sorts) in index order. Each
 edge and each match is stored once; the views over string ids
 (``BomGraph.edges``, ``MergedGraph.pairs`` and the like) are built on first
 read.
+
+Two invariants keep the work per component and per parent rather than per
+node:
+
+- Twins. The q instances of a component of quantity q are twins: one name,
+  and the same parents and children, because a relationship joins every
+  instance of its source to every instance of its target. ``build_graph``
+  works out in-degree, reachability and adoption on the components, builds
+  each component's kid list once, and expands both to instance indices.
+- Childless pairs. A merge pair whose left node has no children can match
+  nothing, descend nowhere and offer no phase-2 candidates, so phase 1
+  never pushes one and phase 2 never visits one. Skipping them changes
+  neither the order of the pairs that do act nor any result.
 """
 
 from __future__ import annotations
@@ -61,11 +74,12 @@ class BomGraph:
         return tuple((s, t, _KINDS[k]) for s, t, k in es)
 
 
-def _extend_reach(start: int, outs, reach: list):
-    """Mark in ``reach`` what ``start`` reaches over the dicts ``outs``,
-    skipping marked nodes: O(V + E) over repeated calls."""
-    reach[start] = True
-    stack = [start]
+def _extend_reach(starts, outs, reach: list):
+    """Mark in ``reach`` the nodes ``starts`` and what they reach over the
+    dicts ``outs``, skipping marked nodes: O(V + E) over repeated calls."""
+    stack = [s for s in starts if not reach[s]]
+    for s in stack:
+        reach[s] = True
     while stack:
         s = stack.pop()
         for out in outs:
@@ -87,21 +101,26 @@ def build_graph(doc: BomDocument) -> BomGraph:
     The document's components are in canonical order, so its nodes are
     too. Instance ids (``id#i``, then ``~`` on a clash) can clash only with
     component ids. A relationship listed twice adds its edges once.
+
+    The instances of one component are twins: a relationship joins every
+    instance of its source to every instance of its target, so twins share
+    their name, parents and children. In-degree, reachability and adoption
+    are therefore worked out on the components and expanded to instances.
     """
     comps = doc.components
     cidx = {c.id: i for i, c in enumerate(comps)}
-    rels = {(cidx[r.source], cidx[r.target], r.kind is RelationshipKind.DEPENDS_ON)
-            for r in doc.relationships}
+    # succ[k][a]: the components a's kind-k relationships reach, each once
+    succ = ({}, {})
+    for r in doc.relationships:
+        succ[r.kind is RelationshipKind.DEPENDS_ON].setdefault(cidx[r.source], set()).add(
+            cidx[r.target])
 
     # A subject of quantity 1 reaches every instance iff it reaches every
-    # component: a relationship joins all instances of its two ends.
+    # component.
     subject = cidx.get(doc.subject)
     reach = [False] * len(comps)
     if subject is not None and comps[subject].quantity == 1:
-        out = {}
-        for a, b, _ in rels:
-            out.setdefault(a, []).append(b)
-        _extend_reach(subject, (out,), reach)
+        _extend_reach((subject,), succ, reach)
     root, slot = None, -1
     if subject is None or False in reach:
         rid = "(root)"
@@ -111,6 +130,9 @@ def build_graph(doc: BomDocument) -> BomGraph:
         # the root sorts as a component with its name and no version, purl or id
         slot = bisect_left(comps, (root.name, "", "", ""), key=Component.sort_key)
 
+    # An instance id c#j can clash only with a component id that has the
+    # prefix c before its last "#"; one lookup per component rules it out.
+    clashing = {i.rpartition("#")[0] for i in cidx if "#" in i}
     # tuple.__new__ skips NamedTuple's Python-level __new__ (0.47 -> 0.19 us a node)
     nodes, spans, node = [], [], tuple.__new__
     for i, c in enumerate((*comps, None)):  # the root may go last
@@ -119,38 +141,57 @@ def build_graph(doc: BomDocument) -> BomGraph:
             nodes.append(root)
         if c is None:
             break
-        spans.append(range(len(nodes), len(nodes) + c.quantity))
-        for q in range(1, c.quantity + 1):
-            nid = f"{c.id}#{q}" if c.quantity > 1 else c.id
-            while nid != c.id and nid in cidx:
-                nid += "~"
-            nodes.append(node(GraphNode, (nid, c.name, c.id, q)))
+        q, cid, name = c.quantity, c.id, c.name
+        spans.append(range(len(nodes), len(nodes) + q))
+        if q == 1:
+            nodes.append(node(GraphNode, (cid, name, cid, 1)))
+        elif cid not in clashing:
+            nodes += [node(GraphNode, (f"{cid}#{j}", name, cid, j)) for j in range(1, q + 1)]
+        else:
+            for j in range(1, q + 1):
+                nid = f"{cid}#{j}"
+                while nid in cidx:
+                    nid += "~"
+                nodes.append(node(GraphNode, (nid, name, cid, j)))
     if root is None:
         p = spans[subject].start
 
-    # spans are disjoint, so distinct relationships give distinct edges
-    n = len(nodes)
+    # Twins get equal kid lists: each component's is built once, in index
+    # order (spans ascend with the component index), and each instance
+    # gets its own copy.
     kids = ({}, {})
-    for a, b, k in rels:
-        out = kids[k]
-        for s in spans[a]:
-            out.setdefault(s, []).extend(spans[b])
-    for out in kids:
-        for ts in out.values():
-            ts.sort()
+    for out, by_comp in zip(kids, succ):
+        for a, bs in by_comp.items():
+            ts = [t for b in sorted(bs) for t in spans[b]]
+            first, *twins = spans[a]
+            out[first] = ts
+            for s in twins:
+                out[s] = ts.copy()
 
     if root is not None:
-        targets = {t for out in kids for ts in out.values() for t in ts}
-        adopted = [i for i in range(n) if i not in targets and i != p]
-        reach = [i == p for i in range(n)]
-        for i in adopted:
-            _extend_reach(i, kids, reach)
-        for i in range(n):
-            if not reach[i]:
-                adopted.append(i)
-                _extend_reach(i, kids, reach)
-        k = doc.format is not BomFormat.GENERIC_HBOM
-        kids[k][p] = sorted(adopted)
+        # An in-degree-zero component has all its instances adopted. An
+        # instance reached over an edge has all its twins reached too, so
+        # the sweep adopts one instance of an unreached component, and its
+        # twins as well unless that instance reaches its own component.
+        adopt = [2] * len(comps)  # 0 none, 1 the first instance, 2 all
+        for by_comp in succ:
+            for bs in by_comp.values():
+                for b in bs:
+                    adopt[b] = 0
+        reach = [False] * len(comps)
+        _extend_reach([c for c, a in enumerate(adopt) if a], succ, reach)
+        for c, r in enumerate(reach):
+            if not r:
+                _extend_reach([t for by_comp in succ for t in by_comp.get(c, ())], succ, reach)
+                adopt[c] = 1 if reach[c] else 2
+                reach[c] = True
+        adopted = []
+        for c, a in enumerate(adopt):
+            if a == 2:
+                adopted.extend(spans[c])
+            elif a:
+                adopted.append(spans[c].start)
+        kids[doc.format is not BomFormat.GENERIC_HBOM][p] = adopted
 
     return BomGraph(tuple(nodes), kids, p, doc.source_name)
 
@@ -243,6 +284,9 @@ def merge_graphs(
     lname = [n.name for n in left.nodes]
     rname = [n.name for n in right.nodes]
     kinds = tuple(zip(left.kids, right.kids))
+    # Only a pair whose left node has children can match or descend; any
+    # other pair would just be marked visited, so it is never pushed.
+    parents = left.kids[0].keys() | left.kids[1].keys()
 
     # Phase 1: depth-first exact-name pairing from the root pair. Children
     # are grouped per edge kind; same-name groups zip in canonical order
@@ -262,7 +306,7 @@ def merge_graphs(
             for l in lk[u]:
                 r = lmatch[l]
                 if r >= 0:
-                    if l * nr + r not in visited:
+                    if l in parents and l * nr + r not in visited:
                         descend.append((l, r))
                     continue
                 bucket = rgroups.get(lname[l])
@@ -270,9 +314,10 @@ def merge_graphs(
                     r = bucket.pop()
                     lmatch[l] = r
                     rmatch[r] = l
-                    descend.append((l, r))
+                    if l in parents:
+                        descend.append((l, r))
         stack.extend(reversed(descend))
-    matched = [(i, j) for i, j in enumerate(lmatch) if j >= 0]
+    matched = [(u, lmatch[u]) for u in sorted(parents) if lmatch[u] >= 0]
 
     # Phase 2: fuzzy candidates only between unmatched children of matched
     # parents, same edge kind, then one global greedy pass by score. The

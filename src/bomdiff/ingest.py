@@ -213,12 +213,10 @@ def _opt_list(entry: dict, key: str, path: str) -> list:
 
 
 def _hash_pair(h, alg_key: str, digest_key: str, path: str) -> tuple[str, str]:
-    """The checked (algorithm, digest) of a hash object, through ``str()``."""
+    """The checked (algorithm, digest) strings of a hash object."""
     if not isinstance(h, dict):
         raise ParseError(f"{path}: expected an object")
-    alg = _require(h, alg_key, path)
-    digest = _require(h, digest_key, path)
-    return str(alg), str(digest)
+    return _require_str(h, alg_key, path), _require_str(h, digest_key, path)
 
 
 def _hash_list(items: list, alg_key: str, digest_key: str, path: str, key: str,
@@ -535,7 +533,7 @@ def parse_spdx(
         if (type(rtype) is not str or not rtype or not (a is None or type(a) is str)
                 or not (b is None or type(b) is str)):
             path = f"$.relationships[{i}]"
-            rtype = str(_require(rel, "relationshipType", path))
+            rtype = _require_str(rel, "relationshipType", path)
             a, b = _opt_str(rel, "spdxElementId", path), _opt_str(rel, "relatedSpdxElement", path)
         a, b = parsed.get(a), parsed.get(b)
         if rtype == "DESCRIBES":

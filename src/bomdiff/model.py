@@ -34,6 +34,20 @@ class RelationshipKind(Enum):
     CONTAINS = "contains"
 
 
+class FieldSelector(Enum):
+    """A component field that the flat comparisons extract (see
+    ``flatcompare``). Defined here so that the CLI and the renderers name
+    fields without loading ``flatcompare``."""
+
+    NAME = "name"
+    PURL = "purl"
+    CPE = "cpe"
+    VENDOR = "vendor"
+    LICENSE = "license"
+    HASH_DIGEST = "hash"
+    ORGANIZATION = "org"
+
+
 def _pairs(items) -> tuple:
     """``items`` as a tuple of tuples; ``items`` itself when it is one."""
     if type(items) is tuple:

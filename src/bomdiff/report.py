@@ -13,16 +13,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from bomdiff import flatcompare
-from bomdiff.flatcompare import (
-    ConsistencyCategory,
-    ConsistencyFinding,
-    FieldSelector,
-    MultisetDiff,
-)
-from bomdiff.model import BomDocument
+from bomdiff.model import BomDocument, FieldSelector
 
 if TYPE_CHECKING:  # only commands that build these load their modules
+    from bomdiff.flatcompare import ConsistencyFinding, MultisetDiff
     from bomdiff.fuzzy import FuzzyMatch
     from bomdiff.graphcompare import MergedGraph
 
@@ -60,6 +54,10 @@ class DiffReport:
         g = self.graph
         if g is not None and (-1 in g.lmatch or -1 in g.rmatch or g.links):
             return True
+        if not self.findings:
+            return False
+        from bomdiff.flatcompare import ConsistencyCategory
+
         return any(
             f.category is not ConsistencyCategory.CONSENSUS for f in self.findings
         )
@@ -114,6 +112,8 @@ def render_summary(doc: BomDocument) -> str:
         f"relationships: {len(doc.relationships)}",
         f"subject: {doc.subject if doc.subject is not None else '(none)'}",
     ]
+    from bomdiff import flatcompare
+
     for sel in FieldSelector:
         values = flatcompare.extract_field(doc, sel)
         lines.append(f"{_LABELS[sel][1].lower()}: {len(values)}")

@@ -20,7 +20,7 @@ from bomdiff.cli import run
 _SRC = str(Path(bomdiff.__file__).resolve().parents[1])
 
 # the modules a command may leave unloaded
-_WATCHED = ("bomdiff.graphcompare", "bomdiff.fuzzy", "datetime", "csv")
+_WATCHED = ("bomdiff.graphcompare", "bomdiff.flatcompare", "bomdiff.fuzzy", "datetime", "csv")
 
 # Runs cli.run on argv and prints its exit code and which watched modules
 # importing bomdiff.cli and running the command loaded.
@@ -76,20 +76,26 @@ def _cli(argv, cwd, **env):
     return _fresh(["-m", "bomdiff.cli", *argv], cwd, **env)
 
 
+_FLAT, _GRAPH = ["bomdiff.flatcompare"], ["bomdiff.graphcompare", "bomdiff.fuzzy"]
+
+
 @pytest.mark.parametrize("argv, code, loaded", [
-    (["inspect", "l.json"], 0, []),
-    (["compare", "l.json", "r.json"], 1, []),
-    (["compare", "--mode", "set", "--format", "json", "l.json", "r.json"], 1, []),
-    (["orgs", "l.json", "r.json"], 1, []),
-    (["licenses", "l.json", "r.json"], 0, []),
-    (["compare", "--fuzzy", "l.json", "r.json"], 1, ["bomdiff.fuzzy"]),
-    (["graph", "l.json", "r.json"], 1, ["bomdiff.graphcompare", "bomdiff.fuzzy"]),
-    (["graph", "--format", "json", "l.json", "r.json"], 1,
-     ["bomdiff.graphcompare", "bomdiff.fuzzy"]),
-    (["inspect", "--timestamp", "l.json"], 0, ["datetime"]),
-    (["inspect", "parts.csv"], 0, ["csv"]),
+    (["inspect", "l.json"], 0, _FLAT),
+    (["compare", "l.json", "r.json"], 1, _FLAT),
+    (["compare", "--mode", "set", "--format", "json", "l.json", "r.json"], 1, _FLAT),
+    (["orgs", "l.json", "r.json"], 1, _FLAT),
+    (["licenses", "l.json", "r.json"], 0, _FLAT),
+    (["compare", "--fuzzy", "l.json", "r.json"], 1, _FLAT + ["bomdiff.fuzzy"]),
+    (["graph", "l.json", "r.json"], 1, _GRAPH),
+    (["graph", "--format", "json", "l.json", "r.json"], 1, _GRAPH),
+    (["graph", "--format", "dot", "l.json", "r.json"], 1, _GRAPH),
+    (["graph", "--stats", "l.json", "r.json"], 1, _GRAPH),
+    (["graph", "parts.csv", "parts.csv"], 0, _GRAPH + ["csv"]),
+    (["inspect", "--timestamp", "l.json"], 0, _FLAT + ["datetime"]),
+    (["inspect", "parts.csv"], 0, _FLAT + ["csv"]),
 ], ids=["inspect", "compare", "compare-set-json", "orgs", "licenses", "compare-fuzzy",
-        "graph", "graph-json", "timestamp", "csv-input"])
+        "graph", "graph-json", "graph-dot", "graph-stats", "graph-equal", "timestamp",
+        "csv-input"])
 def test_each_command_loads_only_what_it_runs(tiny, argv, code, loaded):
     r = _fresh(["-c", _PROBE, *argv], tiny)
     assert r.returncode == 0, r.stderr
@@ -146,6 +152,14 @@ def test_every_public_name_resolves_to_its_home_object():
         assert value is getattr(sys.modules[f"bomdiff.{bomdiff._HOME[name]}"], name), name
     # the version stays a plain attribute
     assert bomdiff.__version__ == "0.1.0" and "__version__" in dir(bomdiff)
+
+
+def test_field_selector_is_one_object_in_every_module():
+    # defined in model, so that graph and the CLI need not load flatcompare
+    from bomdiff import flatcompare, model, report
+
+    assert bomdiff.FieldSelector is flatcompare.FieldSelector is model.FieldSelector
+    assert set(report._LABELS) == set(model.FieldSelector)
 
 
 def test_star_import_binds_every_public_name():

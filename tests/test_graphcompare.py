@@ -168,23 +168,42 @@ def test_merged_edges_use_side_tagged_refs():
 names_pool = ["alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa"]
 
 
+def _instance_like_ids(draw, ids):
+    """``ids`` with some of them, after the first, replaced by an instance
+    id (``c0#2``) of an earlier one, so instance ids clash with real ids."""
+    ids = list(ids)
+    for i in range(1, len(ids)):
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            nid = f"{ids[draw(st.integers(min_value=0, max_value=i - 1))]}#" \
+                  f"{draw(st.integers(min_value=1, max_value=3))}"
+            if nid not in ids:
+                ids[i] = nid
+    return ids
+
+
 @st.composite
 def random_documents(draw):
+    """Forests of depends-on edges over names_pool, or over two of its
+    names so that siblings share names, with quantities up to 6, an
+    optional cycle back to the first component, and some ids of the form
+    ``c0#2`` that clash with instance ids."""
     n = draw(st.integers(min_value=1, max_value=10))
+    ids = _instance_like_ids(draw, [f"c{i}" for i in range(n)])
+    pool = names_pool[:draw(st.sampled_from([2, len(names_pool)]))]
     comps = [
         comp(
-            f"c{i}",
-            draw(st.sampled_from(names_pool)),
-            quantity=draw(st.integers(min_value=1, max_value=2)),
+            ids[i],
+            draw(st.sampled_from(pool)),
+            quantity=draw(st.integers(min_value=1, max_value=6)),
         )
         for i in range(n)
     ]
     rels = []
     for i in range(1, n):
         if draw(st.booleans()):
-            rels.append((f"c{draw(st.integers(min_value=0, max_value=i - 1))}", f"c{i}", DEP))
+            rels.append((ids[draw(st.integers(min_value=0, max_value=i - 1))], ids[i], DEP))
     if n >= 3 and draw(st.booleans()):
-        rels.append((f"c{n - 1}", "c0", DEP))  # close a cycle
+        rels.append((ids[n - 1], ids[0], DEP))  # close a cycle
     return doc_from(comps, set(rels))
 
 
@@ -448,10 +467,11 @@ def digraph_documents(draw):
 @st.composite
 def hbom_forests(draw):
     """Parsed HBOM tables: repeated rows that fold, duplicate names under
-    different parents, quantities above 1, and `parent` cycles of length 2
-    and longer (a random parent per row)."""
+    one parent and under different parents, quantities up to 6, `parent`
+    cycles of length 2 and longer (a random parent per row), and refs of
+    the form ``r0#2`` that clash with instance ids."""
     n = draw(st.integers(min_value=1, max_value=12))
-    refs = draw(st.permutations([f"r{i}" for i in range(n)]))
+    refs = draw(st.permutations(_instance_like_ids(draw, [f"r{i}" for i in range(n)])))
     rows = []
     for i, ref in enumerate(refs):
         parent = draw(st.none() | st.sampled_from(refs))
@@ -460,23 +480,27 @@ def hbom_forests(draw):
             "name": draw(st.sampled_from(["board", "chip", "cap"])),
             "parent": "" if parent in (None, ref) else parent,
             "vendor": draw(st.sampled_from(["", "acme"])),
-            "quantity": draw(st.integers(min_value=1, max_value=3)),
+            "quantity": draw(st.integers(min_value=1, max_value=6)),
         })
-    if n >= 2 and draw(st.booleans()):  # one guaranteed 2-cycle
+    if n >= 2 and draw(st.booleans()):  # one guaranteed 2-cycle, the first row a twin
         rows[0]["parent"], rows[1]["parent"] = refs[1], refs[0]
+        rows[0]["quantity"] = draw(st.integers(min_value=2, max_value=6))
     lines = ["ref,name,parent,vendor,quantity"]
     lines += [",".join(str(r[k]) for k in ("ref", "name", "parent", "vendor", "quantity"))
               for r in rows]
     return parse_hbom("\n".join(lines).encode(), source_name="forest")
 
 
-@given(digraph_documents() | hbom_forests())
+_any_documents = digraph_documents() | hbom_forests() | random_documents()
+
+
+@given(_any_documents)
 @settings(max_examples=300, deadline=None)
 def test_build_graph_matches_round_based_adoption(doc):
     assert _graph_view(build_graph(doc)) == build_graph_oracle(doc)
 
 
-@given(digraph_documents() | hbom_forests(), digraph_documents() | hbom_forests())
+@given(_any_documents, _any_documents)
 @settings(max_examples=150, deadline=None)
 def test_merged_edges_match_eager_construction(dl, dr):
     m = merge_graphs(build_graph(dl), build_graph(dr), FuzzyConfig(threshold=0.5))
@@ -497,7 +521,7 @@ def merged_views_oracle(m):
     )
 
 
-@given(digraph_documents() | hbom_forests(), digraph_documents() | hbom_forests())
+@given(_any_documents, _any_documents)
 @settings(max_examples=150, deadline=None)
 def test_match_stats_and_views_match_eager_construction(dl, dr):
     m = merge_graphs(build_graph(dl), build_graph(dr), FuzzyConfig(threshold=0.5))
@@ -683,9 +707,6 @@ def renamed_document_pairs(draw):
             for q in qty]
     rrels = {r for r in rels if draw(st.integers(min_value=0, max_value=4))} | dag(1)
     return side(names, qty, rels), side(rnames, rqty, rrels)
-
-
-_any_documents = digraph_documents() | hbom_forests()
 
 
 @given(renamed_document_pairs() | st.tuples(_any_documents, _any_documents),

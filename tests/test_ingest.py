@@ -410,12 +410,26 @@ def test_null_top_level_array_reads_as_empty(data, key):
     assert parse_document(json.dumps(missing).encode()) != parse_document(json.dumps(data).encode())
 
 
-def test_spdx_relationship_type_is_read_through_str(make_spdx):
-    # a non-string type is kept by its text, as an unknown relationship
-    pkgs = [_PKG, {"SPDXID": "SPDXRef-b", "name": "b"}]
-    doc = parse_spdx(_spdx(pkgs, [_rel(b="SPDXRef-b", kind=5)]))
-    assert doc.relationships == ()
-    assert doc.by_id["SPDXRef-a"].extra == (("relationship:5", "SPDXRef-b"),)
+@pytest.mark.parametrize("data, message", [
+    (_spdx([_PKG, {"SPDXID": "SPDXRef-b", "name": "b"}], [_rel(b="SPDXRef-b", kind=5)]),
+     "$.relationships[0].relationshipType: expected a string"),
+    (_spdx([_PKG], [_rel(), _rel(kind=["DEPENDS_ON"])]),
+     "$.relationships[1].relationshipType: expected a string"),
+    (_spdx([{**_PKG, "checksums": [{"algorithm": "MD5", "checksumValue": 5}]}]),
+     "$.packages[0].checksums[0].checksumValue: expected a string"),
+    (_spdx([{**_PKG, "checksums": [{"algorithm": 5, "checksumValue": "aa"}]}]),
+     "$.packages[0].checksums[0].algorithm: expected a string"),
+    (_cdx([_LEAF, {"name": "a", "hashes": [{"alg": "MD5", "content": 5}]}]),
+     "$.components[1].hashes[0].content: expected a string"),
+    (_cdx([{"name": "a", "hashes": [{"alg": "MD5", "content": "aa"}, {"alg": 5, "content": "b"}]}]),
+     "$.components[0].hashes[1].alg: expected a string"),
+])
+def test_non_string_hash_and_relationship_type_are_errors(data, message):
+    # these were once read through str(): content 5 gave the digest "5", and
+    # relationship type 5 became the extra pair relationship:5
+    with pytest.raises(ParseError) as e:
+        parse_document(json.dumps(data).encode())
+    assert str(e.value) == message
 
 
 def test_hbom_basic_fold(make_hbom):
