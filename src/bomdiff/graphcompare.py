@@ -180,8 +180,8 @@ def build_graph(doc: BomDocument) -> BomGraph:
                     adopt[b] = 0
         reach = [False] * len(comps)
         _extend_reach([c for c, a in enumerate(adopt) if a], succ, reach)
-        for c, r in enumerate(reach):
-            if not r:
+        for c in range(len(comps)):
+            if not reach[c]:
                 _extend_reach([t for by_comp in succ for t in by_comp.get(c, ())], succ, reach)
                 adopt[c] = 1 if reach[c] else 2
                 reach[c] = True

@@ -213,10 +213,15 @@ def _opt_list(entry: dict, key: str, path: str) -> list:
 
 
 def _hash_pair(h, alg_key: str, digest_key: str, path: str) -> tuple[str, str]:
-    """The checked (algorithm, digest) strings of a hash object."""
+    """The checked (algorithm, digest) strings of a hash object: both
+    present, then both strings."""
     if not isinstance(h, dict):
         raise ParseError(f"{path}: expected an object")
-    return _require_str(h, alg_key, path), _require_str(h, digest_key, path)
+    pair = _require(h, alg_key, path), _require(h, digest_key, path)
+    for key, value in zip((alg_key, digest_key), pair):
+        if not isinstance(value, str):
+            raise ParseError(f"{path}.{key}: expected a string")
+    return pair
 
 
 def _hash_list(items: list, alg_key: str, digest_key: str, path: str, key: str,

@@ -90,7 +90,11 @@ def _opt_list(entry, key, path):
     return value
 
 
-def _norm_hash(alg, digest):
+def _norm_hash(path, alg_key, alg, digest_key, digest):
+    # both fields were once read through str(); a non-string is now an error
+    for key, value in ((alg_key, alg), (digest_key, digest)):
+        if not isinstance(value, str):
+            raise ParseError(f"{path}.{key}: expected a string")
     return alg.upper().replace("-", ""), digest.lower()
 
 
@@ -123,7 +127,7 @@ def old_cdx_component(entry, cid, path):
             raise ParseError(f"{hpath}: expected an object")
         alg = _require(h, "alg", hpath)
         digest = _require(h, "content", hpath)
-        pair = _norm_hash(str(alg), str(digest))
+        pair = _norm_hash(hpath, "alg", alg, "content", digest)
         if pair not in hashes:
             hashes.append(pair)
 
@@ -191,7 +195,7 @@ def old_spdx_fields(pkg, path):
             raise ParseError(f"{cpath}: expected an object")
         alg = _require(ck, "algorithm", cpath)
         digest = _require(ck, "checksumValue", cpath)
-        pair = _norm_hash(str(alg), str(digest))
+        pair = _norm_hash(cpath, "algorithm", alg, "checksumValue", digest)
         if pair not in hashes:
             hashes.append(pair)
 
@@ -423,6 +427,11 @@ def test_component_matches_old_post_init(cid, name, version, purl, cpe, vendor,
         ({"name": "a", "version": ["1"], "cpe": 2}, "$.components[3].version: expected a string"),
         ({"name": 7}, "$.components[3].name: expected a string"),
         ({"name": ""}, "$.components[3].name: required field missing or empty"),
+        ({"name": "a", "hashes": [{"alg": "MD5", "content": 5}]},
+         "$.components[3].hashes[0].content: expected a string"),
+        # both fields are checked present before either is checked a string
+        ({"name": "a", "hashes": [{"alg": 5}]},
+         "$.components[3].hashes[0].content: required field missing or empty"),
     ],
 )
 def test_cdx_component_messages(entry, message):
@@ -445,6 +454,8 @@ def test_cdx_component_messages(entry, message):
          "$.packages[3].externalRefs[1]: expected an object"),
         ({"name": "a", "supplier": ["x"]}, "$.packages[3].supplier: expected a string"),
         ({"name": "a", "versionInfo": 1.5}, "$.packages[3].versionInfo: expected a string"),
+        ({"name": "a", "checksums": [{"algorithm": ["MD5"], "checksumValue": "aa"}]},
+         "$.packages[3].checksums[0].algorithm: expected a string"),
     ],
 )
 def test_spdx_fields_messages(pkg, message):
