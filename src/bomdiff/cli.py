@@ -8,9 +8,9 @@ unless --timestamp is given.
 Each command loads only the modules it runs: ``graphcompare`` is imported
 for ``graph`` alone, ``flatcompare`` for every command but ``graph``,
 ``fuzzy`` for ``graph`` and ``compare --fuzzy``, and ``datetime`` for
-``--timestamp``. ``main`` freezes the heap before the
-process exits, so the interpreter's final collection does not walk it;
-``run`` leaves the caller's collector as it found it.
+``--timestamp``. ``main`` freezes the heap before the process exits, so
+the interpreter's final collection does not walk it; ``run`` leaves the
+caller's collector as it found it.
 """
 
 from __future__ import annotations

@@ -104,6 +104,8 @@ def _coverage_line(label: str, coverage) -> str:
 
 def render_summary(doc: BomDocument) -> str:
     """`inspect` text: provenance and sizes, then unique values per field."""
+    from bomdiff import flatcompare
+
     version = f" {doc.spec_version}" if doc.spec_version else ""
     lines = [
         f"source: {doc.source_name}",
@@ -112,8 +114,6 @@ def render_summary(doc: BomDocument) -> str:
         f"relationships: {len(doc.relationships)}",
         f"subject: {doc.subject if doc.subject is not None else '(none)'}",
     ]
-    from bomdiff import flatcompare
-
     for sel in FieldSelector:
         values = flatcompare.extract_field(doc, sel)
         lines.append(f"{_LABELS[sel][1].lower()}: {len(values)}")
