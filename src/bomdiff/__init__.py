@@ -13,7 +13,6 @@ _EXPORTS = {
     "flatcompare": (
         "ConsistencyCategory",
         "ConsistencyFinding",
-        "FieldSelector",
         "MultisetDiff",
         "cross_field_consistency",
         "extract_field",
@@ -23,7 +22,6 @@ _EXPORTS = {
         "set_diff",
     ),
     "fuzzy": (
-        "ConfigError",
         "FuzzyConfig",
         "FuzzyMatch",
         "all_pairs_matches",
@@ -50,7 +48,15 @@ _EXPORTS = {
         "parse_hbom",
         "parse_spdx",
     ),
-    "model": ("BomDocument", "BomFormat", "Component", "Relationship", "RelationshipKind"),
+    "model": (
+        "BomDocument",
+        "BomFormat",
+        "Component",
+        "ConfigError",
+        "FieldSelector",
+        "Relationship",
+        "RelationshipKind",
+    ),
     "report": ("DiffReport", "classify_differences", "render_json", "render_table", "to_dot"),
 }
 

@@ -23,7 +23,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from bomdiff import ingest, report
-from bomdiff.model import BomFormat, FieldSelector
+from bomdiff.model import BomFormat, ConfigError, FieldSelector
 
 if TYPE_CHECKING:
     from bomdiff import fuzzy
@@ -144,7 +144,7 @@ def _fuzzy_config(args) -> fuzzy.FuzzyConfig:
         try:
             threshold = float(env)
         except ValueError:
-            raise fuzzy.ConfigError(f"BOMDIFF_THRESHOLD={env!r} is not a number") from None
+            raise ConfigError(f"BOMDIFF_THRESHOLD={env!r} is not a number") from None
     return fuzzy.FuzzyConfig() if threshold is None else fuzzy.FuzzyConfig(threshold=threshold)
 
 
@@ -269,13 +269,6 @@ def _cmd_licenses(args):
     return report.render_licenses(rep, coverage), rep
 
 
-def _config_errors() -> tuple:
-    """fuzzy's ConfigError, if fuzzy is loaded. Only the commands that import
-    fuzzy can raise it, so the others need not load it to catch it."""
-    fuzzy = sys.modules.get("bomdiff.fuzzy")
-    return () if fuzzy is None else (fuzzy.ConfigError,)
-
-
 _COMMANDS = {
     "inspect": _cmd_inspect,
     "compare": _cmd_compare,
@@ -309,7 +302,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     except (ingest.ParseError, ingest.UnknownFormatError) as e:
         err.write(f"error: {e}\n")
         return PARSE_ERROR
-    except _config_errors() as e:
+    except ConfigError as e:
         err.write(f"error: {e}\n")
         return USAGE_ERROR
     except OSError as e:

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
+from bomdiff.model import ConfigError
+
 # The one similarity kernel. perfbench stamps this into every record and
 # refuses to compare records whose kernels differ.
 BACKEND = "pure"
@@ -39,10 +41,6 @@ _MARGIN = 1e-9
 # Winkler's prefix scale and cap: prefix * scale <= 0.4, so scores stay in [0, 1].
 _PREFIX_SCALE = 0.1
 _MAX_PREFIX = 4
-
-
-class ConfigError(ValueError):
-    """Raised for fuzzy-matching parameters outside their legal ranges."""
 
 
 @dataclass(frozen=True)

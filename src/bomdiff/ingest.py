@@ -34,9 +34,10 @@ Every reader ends in one ``_finish`` call with its components and one set of
 subject to the components nothing else points at, and the HBOM reader has
 folded quantities and checked its expansion bounds. ``_finish`` applies the
 optional name/ecosystem drops, then duplicate collapsing, to those parts and
-builds the parse's only ``BomDocument`` in canonical order, so downstream
+builds the parse's only ``BomDocument``, whose constructor, the one that
+every document goes through, puts it in canonical order, so downstream
 comparison code never sees source-order artifacts. Values the readers have
-checked are not checked again: components and the document are built
+checked are not checked again: components and relationships are built
 through ``model``'s private builders.
 """
 
@@ -57,7 +58,7 @@ from bomdiff.model import (
     Relationship,
     RelationshipKind,
     _component,
-    _document,
+    _relationship,
     # unused here, but perfbench/traced.py wraps ingest.canonical_form
     canonical_form,  # noqa: F401
 )
@@ -980,7 +981,8 @@ def _finish(fmt: BomFormat, spec_version: str, subject, components, edges,
         components = [c for c in components if c.id not in remap]
         edges = _rewire(edges, remap)
         subject = remap.get(subject, subject)
-    return _document(fmt, spec_version, subject, components, edges, source_name)
+    return BomDocument(fmt, spec_version, subject, components,
+                       [_relationship(s, t, k) for s, t, k in edges], source_name)
 
 
 # ----------------------------------------------------------------- loading

@@ -6,10 +6,12 @@ from. All types are immutable after construction and safe to share across
 threads. A ``BomDocument`` keeps its components and relationships in
 canonical order from construction on, so no later layer sorts them again.
 
-The parsers build through the private ``_component``, ``_relationship`` and
-``_document``, which skip the public constructors' checks and rewrites, on
-values a parser has already made normal (the invariants are listed above
-the builders).
+``BomDocument`` is the one document constructor: the parsers, the dedup
+pass and every caller build through it, so one sort and one validation
+apply to all. The parsers build components and relationships through the
+private ``_component`` and ``_relationship``, which skip the public
+constructors' checks and rewrites, on values a parser has already made
+normal (the invariants are listed above the builders).
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ class FieldSelector(Enum):
     LICENSE = "license"
     HASH_DIGEST = "hash"
     ORGANIZATION = "org"
+
+
+class ConfigError(ValueError):
+    """Raised for fuzzy-matching parameters outside their legal ranges.
+    Defined here so that the CLI catches it without loading ``fuzzy``."""
 
 
 def _pairs(items) -> tuple:
@@ -141,6 +148,8 @@ class Relationship:
 
 
 _ID, _SOURCE, _TARGET = attrgetter("id"), attrgetter("source"), attrgetter("target")
+# Relationship.sort_key without a Python-level call per relationship
+_RELATIONSHIP_KEY = attrgetter("source", "target", "kind._value_")
 
 
 @dataclass(frozen=True)
@@ -151,7 +160,9 @@ class BomDocument:
     source files listed things must compare equal and must render
     identically. Construction sorts components by (name, version, purl, id)
     and relationships by (source, target, kind), which neutralizes source
-    ordering.
+    ordering, and raises ValueError if two components share an id, or if a
+    relationship endpoint (the first, in relationship order) or the subject
+    is no component's id.
     """
 
     format: BomFormat
@@ -162,36 +173,39 @@ class BomDocument:
     source_name: str
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "components", tuple(sorted(self.components, key=Component.sort_key)))
-        object.__setattr__(
-            self, "relationships", tuple(sorted(self.relationships, key=Relationship.sort_key)))
-        _check(self.components, self.relationships, self.subject)
+        rels = tuple(sorted(self.relationships, key=_RELATIONSHIP_KEY))
+        components = tuple(self.components)
+        ids = list(map(_ID, components))
+        known = set(ids)
+        if len(known) != len(ids):
+            seen, dupes = set(), set()
+            for i in ids:
+                (dupes if i in seen else seen).add(i)
+            raise ValueError(f"duplicate component ids: {sorted(dupes)}")
+        if not (known.issuperset(map(_SOURCE, rels)) and known.issuperset(map(_TARGET, rels))):
+            for rel in rels:
+                for endpoint in (rel.source, rel.target):
+                    if endpoint not in known:
+                        raise ValueError(
+                            f"relationship endpoint {endpoint!r} does not resolve to a component"
+                        )
+        if self.subject is not None and self.subject not in known:
+            raise ValueError(f"subject {self.subject!r} does not resolve to a component")
+        # The order of Component.sort_key without a call per component.
+        # Distinct names give the order alone. Otherwise the ids are distinct,
+        # so no two key tuples tie and no component is compared.
+        by_name = {c.name: c for c in components}
+        if len(by_name) == len(components):
+            components = [by_name[name] for name in sorted(by_name)]
+        else:
+            ordered = sorted([(c.name, c.version or "", c.purl or "", c.id, c) for c in components])
+            components = [key[4] for key in ordered]
+        object.__setattr__(self, "components", tuple(components))
+        object.__setattr__(self, "relationships", rels)
 
     @cached_property
     def by_id(self) -> Mapping[ComponentId, Component]:
         return {c.id: c for c in self.components}
-
-
-def _check(components, rels, subject) -> None:
-    """Raise ValueError if two components share an id, or if a relationship
-    endpoint (the first, in relationship order) or the subject is no id."""
-    ids = list(map(_ID, components))
-    known = set(ids)
-    if len(known) != len(ids):
-        seen, dupes = set(), set()
-        for i in ids:
-            (dupes if i in seen else seen).add(i)
-        raise ValueError(f"duplicate component ids: {sorted(dupes)}")
-    if not (known.issuperset(map(_SOURCE, rels)) and known.issuperset(map(_TARGET, rels))):
-        for rel in rels:
-            for endpoint in (rel.source, rel.target):
-                if endpoint not in known:
-                    raise ValueError(
-                        f"relationship endpoint {endpoint!r} does not resolve to a component"
-                    )
-    if subject is not None and subject not in known:
-        raise ValueError(f"subject {subject!r} does not resolve to a component")
 
 
 # ---------------------------------------------------- the parsers' builders
@@ -200,9 +214,7 @@ def _check(components, rels, subject) -> None:
 # - _component: id and name non-empty; version, purl, cpe and vendor None or
 #   a non-empty str; licenses a tuple; hashes a tuple of distinct pairs;
 #   quantity >= 1; extra a sorted tuple of pairs;
-# - _relationship: source and target differ, which it still checks;
-# - _document: component ids distinct and edges distinct; it still checks
-#   that ids are distinct and that endpoints and the subject resolve.
+# - _relationship: source and target differ, which it still checks.
 #
 # Each builder class has the slot layout of the class it builds, so its
 # __init__ sets the fields as plain slot stores and then switches the
@@ -243,35 +255,6 @@ class _relationship:
         self.target = target
         self.kind = kind
         self.__class__ = Relationship
-
-
-def _document(fmt, spec_version, subject, components, edges, source_name) -> BomDocument:
-    """``BomDocument(...)`` of components and (source, target, kind) edges,
-    in the order of ``sort_key`` without a call per element: sorting plain
-    strings where they decide the order, and key tuples where they do not."""
-    # The sources, then each source's (target, kind value) pairs; the edges
-    # are distinct, so no kind is compared.
-    targets: dict = {}
-    for s, t, k in edges:
-        targets.setdefault(s, []).append((t, k._value_, k))
-    rels = []
-    for s in sorted(targets):
-        rels += [_relationship(s, t, k) for t, _, k in sorted(targets[s])]
-    rels = tuple(rels)
-    _check(components, rels, subject)
-    # Distinct names give the order alone. Otherwise the ids are distinct,
-    # so no two key tuples tie and no component is compared.
-    by_name = {c.name: c for c in components}
-    if len(by_name) == len(components):
-        components = [by_name[name] for name in sorted(by_name)]
-    else:
-        ordered = sorted([(c.name, c.version or "", c.purl or "", c.id, c) for c in components])
-        components = [key[4] for key in ordered]
-    doc = object.__new__(BomDocument)
-    doc.__dict__.update(format=fmt, spec_version=spec_version, subject=subject,
-                        components=tuple(components), relationships=rels,
-                        source_name=source_name)
-    return doc
 
 
 def canonical_form(doc: BomDocument) -> BomDocument:

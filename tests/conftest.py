@@ -1,9 +1,23 @@
 import json
 import re
+import warnings
 
 import pytest
 
 from bomdiff.model import BomDocument, BomFormat, Component, Relationship, RelationshipKind
+
+# Hypothesis reports a failing example through hypothesis.extra._patching,
+# which imports libcst, whose import warns (DeprecationWarning). Under
+# `-W error` that warning escapes pytest's report hook as an INTERNALERROR,
+# which hides the failing test's name and example. Imported once here with
+# the warning ignored, the module is cached and the report imports it
+# silently. Without libcst the report skips the patch and nothing warns.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

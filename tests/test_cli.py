@@ -450,6 +450,70 @@ def test_output_is_reproducible_across_hash_seeds_and_input_order(tmp_path):
     assert b"refless" in outputs[0][0] and b"lib3-renamed" in outputs[0][1]
 
 
+def _spdx_sides(rng):
+    """Two SPDX documents with shuffled packages and relationships, repeated
+    names, twins that differ only in id, and one relationship listed twice."""
+    sides = []
+    for rename in ("pkg3", "pkg3-renamed"):
+        packages = [
+            {"SPDXID": f"SPDXRef-{i}", "name": rename if i == 3 else f"pkg{i % 5}",
+             "versionInfo": "1", "supplier": f"Organization: Org{i % 3}",
+             "externalRefs": [{"referenceType": "purl",
+                               "referenceLocator": f"pkg:pypi/pkg{i}@1"}],
+             "checksums": [{"algorithm": "SHA256", "checksumValue": f"{i:02x}" * 32}]}
+            for i in range(10)
+        ]
+        packages += [{"SPDXID": f"SPDXRef-twin{i}", "name": "twin", "versionInfo": "2"}
+                     for i in range(3)]
+        rels = [{"spdxElementId": f"SPDXRef-{i}", "relatedSpdxElement": f"SPDXRef-{j}",
+                 "relationshipType": kind}
+                for i in range(10) for j, kind in ((i + 1, "DEPENDS_ON"), (i + 4, "CONTAINS"))
+                if j < 10]
+        rels += [{"spdxElementId": "SPDXRef-0", "relatedSpdxElement": f"SPDXRef-twin{i}",
+                  "relationshipType": "CONTAINS"} for i in (0, 1, 2, 1)]
+        rels.append({"spdxElementId": "SPDXRef-DOCUMENT", "relatedSpdxElement": "SPDXRef-0",
+                     "relationshipType": "DESCRIBES"})
+        rng.shuffle(packages)
+        rng.shuffle(rels)
+        sides.append(json.dumps({"spdxVersion": "SPDX-2.3", "packages": packages,
+                                 "relationships": rels}))
+    return sides
+
+
+def _hbom_sides(rng):
+    """Two HBOM CSV tables with shuffled data rows: quantities, rows that fold
+    and children listed before their parents."""
+    sides = []
+    for rename in ("cap", "capacitor"):
+        rows = [f"r{i},{rename if i == 5 else f'part{i % 4}'},{f'r{i // 3}' if i else ''},"
+                f"vendor{i % 2},{1 + i % 3}" for i in range(16)]
+        rows += ["x1,screw,r1,acme,2", "x2,screw,r1,acme,3"]
+        rng.shuffle(rows)
+        sides.append("\n".join(["ref,name,parent,vendor,quantity", *rows]) + "\n")
+    return sides
+
+
+@pytest.mark.parametrize("sides, suffix", [(_spdx_sides, ".json"), (_hbom_sides, ".csv")],
+                         ids=["spdx", "hbom"])
+def test_spdx_and_hbom_output_is_independent_of_input_order(tmp_path, monkeypatch, sides,
+                                                             suffix):
+    left, right = f"left{suffix}", f"right{suffix}"
+    outputs = []
+    for order_seed in (1, 2):
+        here = tmp_path / f"order{order_seed}"  # outputs name the input paths
+        here.mkdir()
+        for name, text in zip((left, right), sides(random.Random(order_seed))):
+            (here / name).write_text(text)
+        monkeypatch.chdir(here)
+        runs = [invoke("inspect", left), invoke("compare", left, right),
+                invoke("graph", "--format", "dot", left, right)]
+        assert [code for code, _, _ in runs] == [0, 1, 1]
+        assert all(err == "" for _, _, err in runs)
+        outputs.append([out for _, out, _ in runs])
+    assert (tmp_path / "order1" / left).read_text() != (tmp_path / "order2" / left).read_text()
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("argv", [["graph"], ["graph", "--format", "dot"],
                                   ["compare", "--fuzzy"]])
 def test_lone_surrogate_name_is_escaped_on_stdout(tmp_path, argv):

@@ -131,7 +131,7 @@ def test_timestamp_header_precedes_the_same_output(tiny):
      b"error: BOMDIFF_THRESHOLD='x' is not a number\n"),
 ])
 def test_config_errors_from_a_fresh_interpreter(tiny, argv, env, stderr):
-    # the except clause that reports them names a class loaded on first use
+    # cli catches model.ConfigError, which fuzzy raises under the same name
     r = _cli(argv, tiny, **env)
     assert (r.returncode, r.stdout, r.stderr) == (2, b"", stderr)
 
@@ -160,6 +160,20 @@ def test_field_selector_is_one_object_in_every_module():
 
     assert bomdiff.FieldSelector is flatcompare.FieldSelector is model.FieldSelector
     assert set(report._LABELS) == set(model.FieldSelector)
+
+
+def test_model_names_load_only_model(tiny):
+    # FieldSelector and ConfigError live in model, so neither loads
+    # flatcompare or fuzzy, which keep them under the same names
+    r = _fresh(["-c", (
+        "import sys, bomdiff\n"
+        "bomdiff.FieldSelector, bomdiff.ConfigError\n"
+        "print(sorted(m for m in sys.modules if m.startswith('bomdiff.')))\n"
+        "from bomdiff import flatcompare, fuzzy, model\n"
+        "print(fuzzy.ConfigError is model.ConfigError is bomdiff.ConfigError)\n"
+        "print(flatcompare.FieldSelector is model.FieldSelector is bomdiff.FieldSelector)\n"
+    )], tiny)
+    assert (r.returncode, r.stdout, r.stderr) == (0, b"['bomdiff.model']\nTrue\nTrue\n", b"")
 
 
 def test_star_import_binds_every_public_name():

@@ -7,8 +7,9 @@ fields that are not. The versions they replaced stay here as the reference:
 every field through a checked helper, and a ``Component`` that rebuilt every
 field. On entries whose fields come from the fuzz gate's value pool, old and
 new give an equal component or a ParseError with the same message. The
-public constructors are the reference for the private builders, and no
-parse calls them.
+public ``Component`` and ``Relationship`` constructors are the reference for
+the private builders, and no parse calls them; a parse calls the one
+``BomDocument`` constructor once.
 """
 
 import json
@@ -467,9 +468,9 @@ def test_spdx_fields_messages(pkg, message):
 
 # ------------------------------------------------------ the private builders
 #
-# The parsers build through model._component, _relationship and _document,
-# which skip the public constructors' checks and sorts. On values a parser
-# makes normal, the public constructors stay the reference.
+# The parsers build through model._component and _relationship, which skip
+# the public constructors' checks. On values a parser makes normal, the
+# public constructors stay the reference.
 
 _NORMAL_STR = st.none() | st.sampled_from(["x", "1.0", "pkg:npm/a@1", " "])
 
@@ -503,9 +504,10 @@ def test_relationship_builder_matches_public_constructor(source, target, kind):
         assert type(built[1]) is Relationship and hash(built[1]) == hash(public[1])
 
 
-# ------------------------------------------------ the parsers stay off the
-# public path: a change that falls back to it fails here, not only in the
-# benchmark.
+# ------------------------------------------- the parsers stay off the public
+# component and relationship path, and build each document once through the
+# one document constructor: a change that falls back to the public path or
+# builds a document twice fails here, not only in the benchmark.
 
 
 def _generated_inputs(n=240):
@@ -565,12 +567,13 @@ def test_parsers_never_take_the_public_path(monkeypatch):
         for opts in (IngestOptions(), IngestOptions(dedup=False, fold_quantities=False),
                      IngestOptions(drop_name_prefixes=("lib-1", "p1", "part-1"))):
             docs.append(ingest.parse_document(raw, opts))
-    assert calls == []
+    assert calls == ["BomDocument.__post_init__"] * len(docs)
     # per input: normalized, as read, and normalized less the drops
     sizes = [len(d.components) for d in docs]
     for normalized, plain, dropped in zip(*[iter(sizes)] * 3):
         assert plain >= 200 and dropped < normalized < plain
     assert all(d.relationships for d in docs)
     # the wrappers count: the public constructors still go through them
+    calls.clear()
     Component("x", "x")
     assert calls == ["Component.__post_init__"]

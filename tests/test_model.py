@@ -1,7 +1,10 @@
 
 import dataclasses
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bomdiff.model import (
     BomDocument,
@@ -96,6 +99,96 @@ def test_document_rejects_dangling_edge_endpoints():
 def test_document_rejects_unresolved_subject():
     with pytest.raises(ValueError):
         doc_from([comp("a")], subject="ghost")
+
+
+def _oracle(components, relationships) -> tuple:
+    """The canonical order as the constructor once computed it: a sort by
+    each element's Python-level ``sort_key``."""
+    return (tuple(sorted(components, key=Component.sort_key)),
+            tuple(sorted(relationships, key=Relationship.sort_key)))
+
+
+@st.composite
+def _parts(draw):
+    """Components with distinct ids from small name, version and purl pools,
+    so that names repeat and some share (name, version, purl), and
+    relationships among them drawn with repetition."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]),
+                                   st.sampled_from([None, "1", "2"]),
+                                   st.sampled_from([None, "pkg:npm/a@1"])), max_size=12))
+    ids = draw(st.permutations([f"id{i}" for i in range(len(keys))]))
+    components = [Component(i, name, version=v, purl=p) for i, (name, v, p) in zip(ids, keys)]
+    relationships = []
+    if len(ids) > 1:
+        pairs = st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                                   st.sampled_from(RelationshipKind))
+                         .filter(lambda e: e[0] != e[1]), max_size=12)
+        relationships = [Relationship(*e) for e in draw(pairs)]
+    return components, relationships
+
+
+_TWINS = [Component("b", "n", "1", "p"), Component("a", "n", "1", "p"), Component("c", "m")]
+_TWIN_EDGES = [Relationship("a", "b", DEP)] * 2 + [Relationship("c", "a", CON)]
+
+
+@given(_parts(), st.randoms(use_true_random=False))
+@example((_TWINS, _TWIN_EDGES), random.Random(0))
+@settings(max_examples=300, deadline=None)
+def test_document_order_matches_sort_key_oracle(parts, rnd):
+    components, relationships = parts
+    shuffled = [list(components), list(relationships)]
+    for items in shuffled:
+        rnd.shuffle(items)
+    doc = BomDocument(BomFormat.SPDX_JSON, "", None, *shuffled, "t")
+    assert (doc.components, doc.relationships) == _oracle(components, relationships)
+    assert type(doc.components) is tuple and type(doc.relationships) is tuple
+    assert doc == BomDocument(BomFormat.SPDX_JSON, "", None, tuple(components),
+                              tuple(relationships), "t")
+
+
+@given(_parts(), st.sampled_from(["x", "id0", None]), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_document_reports_the_first_dangling_endpoint_in_canonical_order(parts, subject,
+                                                                        rnd):
+    # a few components are taken away, so their relationships dangle
+    components, relationships = parts
+    kept = [c for c in components if not c.id.endswith(("1", "3"))]
+    known = {c.id for c in kept}
+    rnd.shuffle(relationships)
+    dangling = [e for r in _oracle((), relationships)[1] for e in (r.source, r.target)
+                if e not in known]
+    if dangling:
+        message = f"relationship endpoint {dangling[0]!r} does not resolve to a component"
+    elif subject is not None and subject not in known:
+        message = f"subject {subject!r} does not resolve to a component"
+    else:
+        message = None
+    try:
+        BomDocument(BomFormat.SPDX_JSON, "", subject, kept, relationships, "t")
+    except ValueError as e:
+        assert str(e) == message
+    else:
+        assert message is None
+
+
+def test_document_error_messages():
+    def message(components, relationships=(), subject=None):
+        with pytest.raises(ValueError) as e:
+            doc_from(components, relationships, subject)
+        return str(e.value)
+
+    # duplicate ids are reported first, sorted, each once
+    assert message([comp("b"), comp("a"), comp("b", "x"), comp("a", "y"), comp("a", "z")],
+                   [("a", "ghost", DEP)], subject="ghost") == \
+        "duplicate component ids: ['a', 'b']"
+    # the first unresolved endpoint in canonical order, not in input order;
+    # a source counts as well as a target
+    assert message([comp("a"), comp("z")], [("z", "y", DEP), ("a", "x", DEP)], "ghost") == \
+        "relationship endpoint 'x' does not resolve to a component"
+    assert message([comp("z")], [("z", "y", DEP), ("b", "z", CON)]) == \
+        "relationship endpoint 'b' does not resolve to a component"
+    assert message([comp("a")], subject="ghost") == \
+        "subject 'ghost' does not resolve to a component"
 
 
 def test_canonical_form_sorts_components_and_edges():

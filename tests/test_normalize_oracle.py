@@ -7,9 +7,9 @@ components and (source, target, kind) edges and builds the parse's one
 ``replace``, and ``dedup_components`` rewired ``Relationship`` objects into
 one pair set per kind. Applied to the document parsed with dedup off and no
 prefixes, the reference gives a document equal to the one the parser builds
-with the same options. The parser builds that document through the private
-builders of ``model``; ``BomDocument``, given the same parts in any order,
-builds an equal one.
+with the same options. The parser builds its components and relationships
+through the private builders of ``model``; the public constructors, given
+the same parts in any order, build an equal document.
 """
 
 import io
@@ -20,7 +20,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bomdiff import ingest, model
+from bomdiff import ingest
 from bomdiff.cli import run as cli_run
 from bomdiff.ingest import IngestOptions, _purl_type, parse_document
 from bomdiff.model import BomDocument, Component, Relationship, RelationshipKind
@@ -261,16 +261,16 @@ def _both_fire(make_cdx) -> bytes:
 
 def test_drop_and_dedup_build_one_document(monkeypatch, make_cdx):
     raw, opts = _both_fire(make_cdx), IngestOptions(drop_name_prefixes=("tool-",))
-    # every document, built by the parser or through the public
-    # constructor, is checked once by model._check
+    # every document, built by the parser or through replace, goes once
+    # through the one document constructor
     built = []
-    check = model._check
+    post_init = BomDocument.__post_init__
 
-    def counted(components, rels, subject):
-        built.append(components)
-        check(components, rels, subject)
+    def counted(doc):
+        built.append(doc)
+        post_init(doc)
 
-    monkeypatch.setattr(model, "_check", counted)
+    monkeypatch.setattr(BomDocument, "__post_init__", counted)
     expected = _finish(parse_document(raw, IngestOptions(dedup=False)), opts)
     assert [c.id for c in expected.components] == ["c4", "c1"]
     assert [(r.source, r.target) for r in expected.relationships] == [("c4", "c1")]
