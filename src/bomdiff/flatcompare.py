@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from enum import Enum
 
-from bomdiff.model import BomDocument, Component, FieldSelector
+from bomdiff.model import BomDocument, Component, FieldSelector, _record, _set
 
 # Default scope filter for organization comparisons; the Java runtime's own
 # namespaces say nothing about third-party suppliers.
@@ -86,8 +85,12 @@ def extract_organization(purl: str) -> str | None:
     return f"{dotted[0]}.{dotted[1]}"
 
 
-@dataclass(frozen=True)
+@_record
 class MultisetDiff:
+    """One field's values on two sides: totals, and each value's counts by bucket."""
+
+    __slots__ = __match_args__ = ("left_total", "right_total", "left_unique", "right_unique",
+                                  "common", "left_only", "right_only")
     left_total: int
     right_total: int
     left_unique: int
@@ -95,6 +98,16 @@ class MultisetDiff:
     common: dict[str, tuple[int, int]]
     left_only: dict[str, int]
     right_only: dict[str, int]
+
+    def __init__(self, left_total, right_total, left_unique, right_unique, common, left_only,
+                 right_only):
+        _set(self, "left_total", left_total)
+        _set(self, "right_total", right_total)
+        _set(self, "left_unique", left_unique)
+        _set(self, "right_unique", right_unique)
+        _set(self, "common", common)
+        _set(self, "left_only", left_only)
+        _set(self, "right_only", right_only)
 
     @property
     def left_only_total(self) -> int:
@@ -169,12 +182,21 @@ class ConsistencyCategory(Enum):
     CONSENSUS = "consensus"
 
 
-@dataclass(frozen=True)
+@_record
 class ConsistencyFinding:
+    """One name or digest on which the two sides' name x hash pairs agree or conflict."""
+
+    __slots__ = __match_args__ = ("category", "left_ids", "right_ids", "detail")
     category: ConsistencyCategory
     left_ids: tuple[str, ...]
     right_ids: tuple[str, ...]
     detail: str
+
+    def __init__(self, category, left_ids, right_ids, detail):
+        _set(self, "category", category)
+        _set(self, "left_ids", left_ids)
+        _set(self, "right_ids", right_ids)
+        _set(self, "detail", detail)
 
 
 # (category, detail format) of each finding; the index is the category's rank

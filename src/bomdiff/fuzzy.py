@@ -16,17 +16,19 @@ Srikant, "Scaling Up All Pairs Similarity Search", WWW 2007, and every pair
 in a block is tested against the bound at once, with bit-sliced counts of
 shared characters. Equal names score exactly 1.0 without a kernel call.
 Near-identical names, such as numbered ones, pass the bound and are scored;
-their matches, and so the work, stay quadratic, since the output is.
+their matches, and so the work, stay quadratic, since the output is. The
+graph merge, which scores its name pairs one at a time, skips by the same
+bound through ``_may_pass``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import Counter
 from itertools import groupby
 from operator import itemgetter
 
-from bomdiff.model import ConfigError
+from bomdiff.model import ConfigError, _record, _set
 
 # The one similarity kernel. perfbench stamps this into every record and
 # refuses to compare records whose kernels differ.
@@ -43,23 +45,36 @@ _PREFIX_SCALE = 0.1
 _MAX_PREFIX = 4
 
 
-@dataclass(frozen=True)
+@_record
 class FuzzyConfig:
-    threshold: float = 0.85
+    """The score a pair must exceed, and the Jaro floor for the prefix bonus."""
+
+    __slots__ = __match_args__ = ("threshold", "boost_floor")
+    threshold: float
     # 0.0 applies the prefix bonus unconditionally; Winkler's original
     # variant gated it on a base score of at least 0.7.
-    boost_floor: float = 0.0
+    boost_floor: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
+    def __init__(self, threshold=0.85, boost_floor=0.0):
+        if not 0.0 <= threshold <= 1.0:
+            raise ConfigError(f"threshold {threshold} outside [0, 1]")
+        _set(self, "threshold", threshold)
+        _set(self, "boost_floor", boost_floor)
 
 
-@dataclass(frozen=True)
+@_record
 class FuzzyMatch:
+    """A left and a right name, and the score of the pair."""
+
+    __slots__ = __match_args__ = ("left", "right", "score")
     left: str
     right: str
     score: float
+
+    def __init__(self, left, right, score):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "score", score)
 
 
 def jaro(s1: str, s2: str) -> float:
@@ -170,6 +185,22 @@ def _least_shared(n1: int, n2: int, prefix: int, cutoff: float) -> int:
         else:
             lo = m + 1
     return lo
+
+
+def _may_pass(a: str, b: str, threshold: float) -> bool:
+    """Whether the pair a, b of non-empty names can score above
+    ``threshold``: False only when the bound of ``all_pairs_matches``, from
+    the two lengths, the shared characters and the capped common prefix,
+    rules it out, with the same margin. A pair scored one by one, as in a
+    graph merge, takes this test; ``all_pairs_matches`` tests whole blocks
+    against the same ``_least_shared``."""
+    limit = min(len(a), len(b), _MAX_PREFIX)
+    prefix = 0
+    while prefix < limit and a[prefix] == b[prefix]:
+        prefix += 1
+    # the shared characters counted with multiplicity, as by _char_masks
+    shared = sum((Counter(a) & Counter(b)).values())
+    return shared >= _least_shared(len(a), len(b), prefix, threshold - _MARGIN)
 
 
 def _at_least(planes: list[int], v: int, everyone: int) -> int:

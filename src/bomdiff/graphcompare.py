@@ -30,13 +30,13 @@ node:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from bomdiff.fuzzy import FuzzyConfig, all_pairs_matches, jaro_winkler
+from bomdiff.fuzzy import FuzzyConfig, _may_pass, all_pairs_matches, jaro_winkler
 # unused here, but perfbench/traced.py wraps graphcompare.canonical_form
 from bomdiff.model import BomDocument, BomFormat, Component, RelationshipKind, canonical_form  # noqa: F401
+from bomdiff.model import _record, _set
 
 _KINDS = (RelationshipKind.CONTAINS, RelationshipKind.DEPENDS_ON)
 
@@ -48,15 +48,23 @@ class GraphNode(NamedTuple):
     instance: int = 1
 
 
-@dataclass(frozen=True)
+@_record
 class BomGraph:
     """Nodes in canonical order, and ``kids[k]``: node index -> its kind-k
     targets in index order, the graph's only copy of its edges."""
 
+    # no __slots__: the cached views live in the instance __dict__
+    __match_args__ = ("nodes", "kids", "root_index", "source_name")
     nodes: tuple[GraphNode, ...]
     kids: tuple[dict, dict]
     root_index: int
-    source_name: str = ""
+    source_name: str
+
+    def __init__(self, nodes, kids, root_index, source_name=""):
+        _set(self, "nodes", nodes)
+        _set(self, "kids", kids)
+        _set(self, "root_index", root_index)
+        _set(self, "source_name", source_name)
 
     @property
     def root(self) -> str:
@@ -203,7 +211,7 @@ class MatchStats(NamedTuple):
     fuzzy: int
 
 
-@dataclass(frozen=True)
+@_record
 class MergedGraph:
     """Partition of both node sets plus fuzzy links between leftovers.
 
@@ -214,11 +222,20 @@ class MergedGraph:
     over node ids, in index order, built on first read.
     """
 
+    # no __slots__: the cached views live in the instance __dict__
+    __match_args__ = ("left", "right", "lmatch", "rmatch", "links")
     left: BomGraph
     right: BomGraph
     lmatch: list[int]
     rmatch: list[int]
     links: tuple
+
+    def __init__(self, left, right, lmatch, rmatch, links):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "lmatch", lmatch)
+        _set(self, "rmatch", rmatch)
+        _set(self, "links", links)
 
     @cached_property
     def pairs(self) -> tuple[tuple[str, str], ...]:
@@ -323,7 +340,9 @@ def merge_graphs(
     # parents, same edge kind, then one global greedy pass by score. The
     # candidates are kept as blocks: the free children of one (parent pair,
     # kind) with one left name x those with one right name, all sharing
-    # that name pair's score, so each distinct name pair is scored once.
+    # that name pair's score, so each distinct name pair is scored once, and
+    # only when the score bound of compare --fuzzy lets it pass (a pair the
+    # bound rules out counts as 0.0, which exceeds no threshold).
     scores: dict[tuple[str, str], float] = {}
     levels: dict[float, list[tuple[list, list]]] = {}
     for u, v in matched:
@@ -337,7 +356,8 @@ def merge_graphs(
                         continue
                     s = scores.get((a, b))
                     if s is None:
-                        s = scores[(a, b)] = jaro_winkler(a, b, cfg)
+                        s = scores[(a, b)] = (jaro_winkler(a, b, cfg)
+                                              if _may_pass(a, b, cfg.threshold) else 0.0)
                     if s > cfg.threshold:
                         levels.setdefault(s, []).append((lg, rg))
 

@@ -47,7 +47,6 @@ import io
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -58,7 +57,9 @@ from bomdiff.model import (
     Relationship,
     RelationshipKind,
     _component,
+    _record,
     _relationship,
+    _set,
     # unused here, but perfbench/traced.py wraps ingest.canonical_form
     canonical_form,  # noqa: F401
 )
@@ -80,32 +81,41 @@ class DanglingParentError(ParseError):
     """HBOM row names a parent ref that no row defines."""
 
 
-@dataclass(frozen=True)
+@_record
 class IngestOptions:
-    dedup: bool = True
-    fold_quantities: bool = True
-    drop_name_prefixes: tuple[str, ...] = ()
+    """How a parse normalizes: dedup, HBOM quantity folding, name-prefix drops."""
 
-    def __post_init__(self):
-        if isinstance(self.drop_name_prefixes, str):  # would drop by letter
+    __slots__ = __match_args__ = ("dedup", "fold_quantities", "drop_name_prefixes")
+    dedup: bool
+    fold_quantities: bool
+    drop_name_prefixes: tuple[str, ...]
+
+    def __init__(self, dedup=True, fold_quantities=True, drop_name_prefixes=()):
+        if isinstance(drop_name_prefixes, str):  # would drop by letter
             raise ValueError("drop_name_prefixes must be a sequence of str, not a str")
-        object.__setattr__(
-            self, "drop_name_prefixes", tuple(self.drop_name_prefixes)
-        )
-        for p in self.drop_name_prefixes:
+        drop_name_prefixes = tuple(drop_name_prefixes)
+        for p in drop_name_prefixes:
             if not isinstance(p, str) or not p:
                 raise ValueError("drop_name_prefixes entries must be non-empty strings")
+        _set(self, "dedup", dedup)
+        _set(self, "fold_quantities", fold_quantities)
+        _set(self, "drop_name_prefixes", drop_name_prefixes)
 
 
 # ------------------------------------------------------------ read path
 
 
-@dataclass(frozen=True)
+@_record
 class _Text:
     """Decoded input that is not JSON, with the decoder's complaint."""
 
+    __slots__ = __match_args__ = ("text", "error")
     text: str
-    error: str = ""
+    error: str
+
+    def __init__(self, text, error=""):
+        _set(self, "text", text)
+        _set(self, "error", error)
 
 
 def _decode(raw: bytes) -> str:
@@ -958,9 +968,9 @@ def dedup_components(doc: BomDocument) -> BomDocument:
     if not remap:
         return doc
     edges = _rewire(((r.source, r.target, r.kind) for r in doc.relationships), remap)
-    return replace(doc, components=tuple(c for c in doc.components if c.id not in remap),
-                   relationships=tuple(Relationship(s, t, k) for s, t, k in edges),
-                   subject=remap.get(doc.subject, doc.subject))
+    return BomDocument(doc.format, doc.spec_version, remap.get(doc.subject, doc.subject),
+                       tuple(c for c in doc.components if c.id not in remap),
+                       tuple(Relationship(s, t, k) for s, t, k in edges), doc.source_name)
 
 
 def _finish(fmt: BomFormat, spec_version: str, subject, components, edges,

@@ -9,11 +9,10 @@ values so golden files survive tool upgrades.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from bomdiff.model import BomDocument, FieldSelector
+from bomdiff.model import BomDocument, FieldSelector, _record, _set
 
 if TYPE_CHECKING:  # only commands that build these load their modules
     from bomdiff.flatcompare import ConsistencyFinding, MultisetDiff
@@ -34,14 +33,27 @@ _LABELS = {
 }
 
 
-@dataclass(frozen=True)
+@_record
 class DiffReport:
+    """Everything one comparison found, as the renderers read it."""
+
+    __slots__ = __match_args__ = ("source_names", "field_diffs", "fuzzy", "graph", "findings",
+                                  "hash_coverage")
     source_names: tuple[str, str]
-    field_diffs: dict[FieldSelector, MultisetDiff] = field(default_factory=dict)
-    fuzzy: tuple[FuzzyMatch, ...] = ()
-    graph: MergedGraph | None = None
-    findings: tuple[ConsistencyFinding, ...] = ()
-    hash_coverage: tuple[tuple[int, int], tuple[int, int]] | None = None
+    field_diffs: dict[FieldSelector, MultisetDiff]
+    fuzzy: tuple[FuzzyMatch, ...]
+    graph: MergedGraph | None
+    findings: tuple[ConsistencyFinding, ...]
+    hash_coverage: tuple[tuple[int, int], tuple[int, int]] | None
+
+    def __init__(self, source_names, field_diffs=None, fuzzy=(), graph=None, findings=(),
+                 hash_coverage=None):
+        _set(self, "source_names", source_names)
+        _set(self, "field_diffs", {} if field_diffs is None else field_diffs)
+        _set(self, "fuzzy", fuzzy)
+        _set(self, "graph", graph)
+        _set(self, "findings", findings)
+        _set(self, "hash_coverage", hash_coverage)
 
     def has_differences(self) -> bool:
         """Governs the CLI difference exit code: any only-bucket entry,
@@ -291,15 +303,14 @@ def render_json(report: DiffReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-@dataclass(frozen=True)
 class DotStyle:
     """The fixed DOT palette."""
 
-    matched: str = "#6baed6"       # blue: in both inputs
-    left_only: str = "#fa9fb5"     # pink: first input only
-    right_only: str = "#ffd92f"    # yellow: second input only
-    fuzzy_edge: str = "#ffd92f"
-    fuzzy_penwidth: float = 3.0
+    matched = "#6baed6"       # blue: in both inputs
+    left_only = "#fa9fb5"     # pink: first input only
+    right_only = "#ffd92f"    # yellow: second input only
+    fuzzy_edge = "#ffd92f"
+    fuzzy_penwidth = 3.0
 
 
 def _dot_escape(s: str) -> str:
@@ -313,7 +324,7 @@ def to_dot(merged: MergedGraph) -> str:
     side's color; fuzzy links render as thick yellow dir=none edges on top
     of the solid structural edges.
     """
-    style = DotStyle()
+    style = DotStyle
     left, right = merged.left.nodes, merged.right.nodes
     lrank, rrank, codes = merged.ranked
     lm = merged.lmatch

@@ -19,8 +19,10 @@ from bomdiff.cli import run
 
 _SRC = str(Path(bomdiff.__file__).resolve().parents[1])
 
-# the modules a command may leave unloaded
-_WATCHED = ("bomdiff.graphcompare", "bomdiff.flatcompare", "bomdiff.fuzzy", "datetime", "csv")
+# the modules a command may leave unloaded; no command loads the last two,
+# since the records are plain classes (bomdiff.model._record)
+_WATCHED = ("bomdiff.graphcompare", "bomdiff.flatcompare", "bomdiff.fuzzy", "datetime", "csv",
+            "dataclasses", "inspect")
 
 # Runs cli.run on argv and prints its exit code and which watched modules
 # importing bomdiff.cli and running the command loaded.
@@ -100,6 +102,16 @@ def test_each_command_loads_only_what_it_runs(tiny, argv, code, loaded):
     r = _fresh(["-c", _PROBE, *argv], tiny)
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == [code, loaded]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect(tiny):
+    r = _fresh(["-c", (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bomdiff.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )], tiny)
+    assert (r.returncode, r.stdout, r.stderr) == (0, b"[]\n", b"")
 
 
 def test_bare_package_import_loads_no_submodule(tiny):

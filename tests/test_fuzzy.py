@@ -357,6 +357,29 @@ def test_least_shared_count_is_the_pairwise_bound():
                         assert (m >= need) == kept, (threshold, n1, n2, p, m)
 
 
+@given(wide_names.filter(bool), wide_names.filter(bool), st.sampled_from([0.0, 0.7]),
+       st.sampled_from([0.0, 0.5, 0.85, 0.95, 1.0, None]))
+@settings(max_examples=500)
+def test_may_pass_never_rules_out_a_passing_pair(a, b, floor, threshold):
+    # None: the float just below the pair's own score, which it passes
+    score = jaro_winkler(a, b, FuzzyConfig(boost_floor=floor))
+    if threshold is None:
+        threshold = max(0.0, math.nextafter(score, -math.inf))
+    if score > threshold:
+        assert fuzzy._may_pass(a, b, threshold)
+    # the bound is the one all_pairs_matches applies to the same pair
+    need = fuzzy._least_shared(len(a), len(b), _prefix(a, b), threshold - fuzzy._MARGIN)
+    shared = sum(min(a.count(c), b.count(c)) for c in set(a))
+    assert fuzzy._may_pass(a, b, threshold) == (shared >= need)
+
+
+def _prefix(a, b):
+    p = 0
+    while p < min(len(a), len(b), 4) and a[p] == b[p]:
+        p += 1
+    return p
+
+
 @pytest.mark.parametrize("corpus", [_criterion_10_corpus, _numbered_corpus])
 @pytest.mark.parametrize("exclude_exact", [False, True])
 def test_kernel_calls_no_more_than_pairwise_bound(monkeypatch, corpus, exclude_exact):

@@ -1,12 +1,12 @@
 import json
 import time
 from collections import deque
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CON, DEP, comp, doc_from
+from bomdiff import graphcompare
 from bomdiff.fuzzy import FuzzyConfig, all_pairs_matches, jaro_winkler
 from bomdiff.graphcompare import (
     GraphNode,
@@ -776,6 +776,34 @@ def test_phase2_renamed_part_of_quantity_1000_is_linear():
     assert [l for l, _, _ in m.fuzzy_links] == [n.id for n in left.nodes if n.name != "board"]
 
 
+def test_phase2_scores_no_pair_the_bound_rules_out(monkeypatch):
+    # five children of the subject a side, each named by one Cyrillic letter
+    # 4000 times, no letter shared across the sides: about 25 s of kernel
+    # calls before the bound was applied here too
+    calls = []
+
+    def counted(a, b, cfg=FuzzyConfig()):
+        calls.append((a, b))
+        return jaro_winkler(a, b, cfg)
+
+    def side(tag, names):
+        comps = [comp("top", "top")] + [comp(f"{tag}{i}", nm) for i, nm in enumerate(names)]
+        return build_graph(doc_from(comps, [("top", f"{tag}{i}", DEP) for i in range(len(names))],
+                                    subject="top"))
+
+    monkeypatch.setattr(graphcompare, "jaro_winkler", counted)
+    left = side("l", [ch * 4000 for ch in "абвгд"])
+    right = side("r", [ch * 4000 for ch in "еёжзи"])
+    assert match_stats(merge_graphs(left, right)) == (1, 5, 5, 0)
+    assert calls == []
+    # a pair the bound lets through is scored, once, and still links
+    left, right = side("l", ["part-a", "zzzz"]), side("r", ["part-b"])
+    m = merge_graphs(left, right)
+    assert calls == [("part-a", "part-b")]
+    assert m.fuzzy_links == tuple(merge_graphs_oracle(left, right)[3]) == (
+        ("l0", "r0", jaro_winkler("part-a", "part-b")),)
+
+
 # ------------------------------------------------------ DOT export oracle
 #
 # report.to_dot numbers nodes from MergedGraph.ranks and reads the merged
@@ -825,8 +853,8 @@ def quoted_document_pairs(draw):
                                  st.sampled_from(['"', "\\", '\\"', 'x"\\'])))
 
     def mark(doc):
-        return replace(doc, components=tuple(
-            replace(c, name=c.name + marks.get(c.name, "")) for c in doc.components))
+        return doc.__replace__(components=tuple(
+            c.__replace__(name=c.name + marks.get(c.name, "")) for c in doc.components))
 
     return mark(docs[0]), mark(docs[1])
 
@@ -862,7 +890,7 @@ def test_duplicate_relationship_changes_nothing():
                                  [("top", "b", CON)], subject="top"))
     for subject in ("top", None):
         once = doc_from(comps, [(r.source, r.target, r.kind) for r in rels], subject=subject)
-        twice = replace(once, relationships=tuple(rels + rels[1:]))
+        twice = once.__replace__(relationships=tuple(rels + rels[1:]))
         assert len(twice.relationships) == 3
         g1, g2 = build_graph(once), build_graph(twice)
         assert g1 == g2

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -853,7 +852,7 @@ def fold_quantities_oracle(components, edges):
             members.sort()
             survivor = members[0]
             total = sum(comps[m].quantity for m in members)
-            comps[survivor] = replace(comps[survivor], quantity=total)
+            comps[survivor] = comps[survivor].__replace__(quantity=total)
             for m in members[1:]:
                 remap[m] = survivor
                 del comps[m]

@@ -4,7 +4,7 @@
 components and (source, target, kind) edges and builds the parse's one
 ``BomDocument``. The version it replaced stays here as the reference:
 ``_drop_prefixes`` and ``_finish`` each rebuilt a finished document through
-``replace``, and ``dedup_components`` rewired ``Relationship`` objects into
+``__replace__`` (once ``dataclasses.replace``), and ``dedup_components`` rewired ``Relationship`` objects into
 one pair set per kind. Applied to the document parsed with dedup off and no
 prefixes, the reference gives a document equal to the one the parser builds
 with the same options. The parser builds its components and relationships
@@ -15,7 +15,6 @@ the same parts in any order, build an equal document.
 import io
 import json
 from collections import Counter
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,8 +74,8 @@ def dedup_components(doc: BomDocument) -> BomDocument:
         if s != t:
             rewired[r.kind is RelationshipKind.DEPENDS_ON].add((s, t))
     subject = remap.get(doc.subject, doc.subject) if doc.subject else None
-    return replace(
-        doc, components=components, relationships=_relationships(*rewired), subject=subject
+    return doc.__replace__(
+        components=components, relationships=_relationships(*rewired), subject=subject
     )
 
 
@@ -95,8 +94,7 @@ def _drop_prefixes(doc: BomDocument, prefixes) -> BomDocument:
     dropped = {c.id for c in doc.components if drops(c)}
     if not dropped:
         return doc
-    return replace(
-        doc,
+    return doc.__replace__(
         components=tuple(c for c in doc.components if c.id not in dropped),
         relationships=tuple(
             r
@@ -261,16 +259,16 @@ def _both_fire(make_cdx) -> bytes:
 
 def test_drop_and_dedup_build_one_document(monkeypatch, make_cdx):
     raw, opts = _both_fire(make_cdx), IngestOptions(drop_name_prefixes=("tool-",))
-    # every document, built by the parser or through replace, goes once
+    # every document, built by the parser or through __replace__, goes once
     # through the one document constructor
     built = []
-    post_init = BomDocument.__post_init__
+    init = BomDocument.__init__
 
-    def counted(doc):
+    def counted(doc, *args, **kwargs):
         built.append(doc)
-        post_init(doc)
+        init(doc, *args, **kwargs)
 
-    monkeypatch.setattr(BomDocument, "__post_init__", counted)
+    monkeypatch.setattr(BomDocument, "__init__", counted)
     expected = _finish(parse_document(raw, IngestOptions(dedup=False)), opts)
     assert [c.id for c in expected.components] == ["c4", "c1"]
     assert [(r.source, r.target) for r in expected.relationships] == [("c4", "c1")]
