@@ -86,6 +86,12 @@ def jaro(s1: str, s2: str) -> float:
     with floor division as in Winkler's strcmp95 (the mismatch count can
     be odd when the matched sequences are unequal-length permutations).
     Two empty strings score 1.0, exactly one empty string scores 0.0.
+
+    Each character of s1 takes the first free equal character of s2 in its
+    window. The s2 positions one character takes rise with the window
+    start, so every free position of that character lies past the last one
+    it took, and one ``str.find`` from there finds it: at worst
+    O(len1 * window) character compares, all inside ``str.find``.
     """
     len1, len2 = len(s1), len(s2)
     if len1 == 0 and len2 == 0:
@@ -96,32 +102,22 @@ def jaro(s1: str, s2: str) -> float:
     if window < 0:
         window = 0
 
-    flags2 = [False] * len2
-    matched1 = []
-    for i in range(len1):
-        ch = s1[i]
-        start = i - window if i > window else 0
-        end = i + window + 1
-        if end > len2:
-            end = len2
-        for j in range(start, end):
-            if not flags2[j] and s2[j] == ch:
-                flags2[j] = True
-                matched1.append(ch)
-                break
+    after: dict[str, int] = {}  # one past the last s2 position ch took
+    taken = []  # the s2 positions matched, in s1 order
+    for i, ch in enumerate(s1):
+        start = after.get(ch, 0)
+        if start < i - window:
+            start = i - window
+        j = s2.find(ch, start, i + window + 1)
+        if j >= 0:
+            after[ch] = j + 1
+            taken.append(j)
 
-    m = len(matched1)
+    m = len(taken)
     if m == 0:
         return 0.0
-
-    mismatches = 0
-    k = 0
-    for j in range(len2):
-        if flags2[j]:
-            if s2[j] != matched1[k]:
-                mismatches += 1
-            k += 1
-    t = mismatches // 2
+    # s1's matched characters against s2's, each in its own string's order
+    t = sum(s2[x] != s2[y] for x, y in zip(taken, sorted(taken))) // 2
     return (m / len1 + m / len2 + (m - t) / m) / 3.0
 
 

@@ -407,13 +407,18 @@ def parse_cyclonedx(
 def _subtree_keys(
     entries: list[dict], parent_of: list[int | None], wanted
 ) -> dict[int, str]:
-    """Content signature of each wanted entry and its descendants: own fields
-    as sorted JSON, "|", then the children's keys sorted and joined by ",".
+    """Content signature of each wanted entry and its descendants: the
+    SHA-256 hex digest of its own fields as sorted JSON, "|", then the
+    children's keys sorted and joined by ",".
 
     The key covers the (order-insensitive) assembly subtree, so id generation
-    cannot depend on input array order. Children are numbered after their
-    parent, so walking from the last entry to the first is a post-order.
+    cannot depend on input array order, and its fixed size keeps all keys
+    linear in the entry count at any nesting depth. Children are numbered
+    after their parent, so walking from the last entry to the first is a
+    post-order.
     """
+    import hashlib  # only refless input pays for the import
+
     marked = [False] * len(entries)
     for i in wanted:
         marked[i] = True
@@ -429,7 +434,8 @@ def _subtree_keys(
             {k: v for k, v in entries[i].items() if k != "components"},
             sort_keys=True,
         )
-        keys[i] = own + "|" + ",".join(sorted(children_of.pop(i, ())))
+        text = own + "|" + ",".join(sorted(children_of.pop(i, ())))
+        keys[i] = hashlib.sha256(text.encode()).hexdigest()
         if parent_of[i] is not None:
             children_of.setdefault(parent_of[i], []).append(keys[i])
     return keys
@@ -796,10 +802,23 @@ def _hbom_rows(raw) -> list[tuple[int, dict]]:
         if not isinstance(items, list):
             raise ParseError("$.hbom: expected an array")
         out = []
-        for i, item in enumerate(items):
+        for n, item in enumerate(items, 1):
             if not isinstance(item, dict):
-                raise ParseError(f"$.hbom[{i}]: expected an object")
-            out.append((i + 1, {str(k): item[k] for k in item}))
+                raise ParseError(f"$.hbom[{n - 1}]: expected an object")
+            # Keys follow the CSV header rule: stripped, and unique unless
+            # blank; a blank key may hold only a blank value, which has no
+            # label.
+            row = {}
+            for k, v in item.items():
+                k = str(k).strip()
+                if not k:
+                    if v is not None and str(v).strip():
+                        raise ParseError(f"row {n}: value under a blank key")
+                elif k in row:
+                    raise ParseError(f"row {n}: duplicate key '{k}'")
+                else:
+                    row[k] = v
+            out.append((n, row))
         return out
 
     import csv

@@ -168,7 +168,7 @@ class Component:
         extra = _pairs(extra)
         if len(extra) > 1:
             ordered = tuple(sorted(extra))
-            if ordered != extra:  # keep a sorted extra, which a parser may share
+            if ordered != extra:  # a sorted extra stays the same tuple
                 extra = ordered
         if len(hashes) > 1 and len(set(hashes)) != len(hashes):
             raise ValueError(f"component {id!r}: duplicate hash entries")

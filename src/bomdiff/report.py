@@ -364,36 +364,23 @@ _SEPARATORS = str.maketrans("", "", "-_./ ")
 def _within_edits(a: str, b: str, k: int) -> bool:
     """Whether the Levenshtein distance between a and b is at most k.
 
-    Only the cells within k of the diagonal can hold a distance <= k, so
-    each row computes just those 2k + 1 cells, with larger values held as
-    k + 1, and the scan stops once a whole row exceeds k (E. Ukkonen,
-    "Algorithms for approximate string matching", Information and Control
-    64, 1985). O(k * len(a)) time and O(k) space.
+    A common prefix costs nothing, so it is stripped; at the first mismatch
+    one of a substitution, a deletion or an insertion must fix it, so each
+    is tried with k - 1 edits left. At most 3**k branches, each linear in
+    the length; the one caller takes k = 2.
     """
-    n, m = len(a), len(b)
-    if abs(n - m) > k:
+    if abs(len(a) - len(b)) > k:
         return False
-    over = k + 1
-    width = 2 * k + 1
-    # row[d] is the distance between a[:i] and b[:j] for j = i - k + d.
-    row = [d - k if k <= d <= k + m else over for d in range(width)]
-    for i in range(1, n + 1):
-        ca = a[i - 1]
-        prev, row = row, [over] * width
-        for d in range(max(0, k - i), min(width, k + m - i + 1)):
-            j = i - k + d
-            if j == 0:
-                best = i
-            else:
-                best = prev[d] + (ca != b[j - 1])
-                if d + 1 < width and prev[d + 1] < best:
-                    best = prev[d + 1] + 1
-                if d and row[d - 1] < best:
-                    best = row[d - 1] + 1
-            row[d] = best if best < over else over
-        if min(row) > k:
-            return False
-    return row[m - n + k] <= k
+    i, n = 0, min(len(a), len(b))
+    while i < n and a[i] == b[i]:
+        i += 1
+    if i == n:  # the rest is one string's tail, at most k long
+        return True
+    return k > 0 and (
+        _within_edits(a[i + 1:], b[i + 1:], k - 1)
+        or _within_edits(a[i + 1:], b[i:], k - 1)
+        or _within_edits(a[i:], b[i + 1:], k - 1)
+    )
 
 
 def classify_differences(

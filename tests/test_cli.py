@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,22 @@ def test_graph_identical_exits_zero(pair):
     code, out, _ = invoke("graph", left, left, "--stats")
     assert code == 0
     assert "left_only=0 right_only=0 fuzzy=0" in out
+
+
+def test_graph_stats_on_long_names_one_letter_apart(cdx_file):
+    # five children of the subject a side, named by 3999 a's and one letter
+    # of their own: every pair passes the bound and is scored, which took
+    # 3.6 s with the window-scan Jaro kernel
+    def side(name, letters):
+        return cdx_file(name, [{"bom-ref": f"c{i}", "name": "a" * 3999 + ch}
+                               for i, ch in enumerate(letters)],
+                        subject={"bom-ref": "top", "name": "top"})
+
+    left, right = side("l.json", "bcdef"), side("r.json", "ghijk")
+    t0 = time.perf_counter()
+    result = invoke("graph", "--stats", left, right)
+    assert time.perf_counter() - t0 < 1.0
+    assert result == (1, "matched=1 left_only=5 right_only=5 fuzzy=5\n", "")
 
 
 def test_graph_json(pair):

@@ -22,7 +22,7 @@ _SRC = str(Path(bomdiff.__file__).resolve().parents[1])
 # the modules a command may leave unloaded; no command loads the last two,
 # since the records are plain classes (bomdiff.model._record)
 _WATCHED = ("bomdiff.graphcompare", "bomdiff.flatcompare", "bomdiff.fuzzy", "datetime", "csv",
-            "dataclasses", "inspect")
+            "dataclasses", "inspect", "hashlib")
 
 # Runs cli.run on argv and prints its exit code and which watched modules
 # importing bomdiff.cli and running the command loaded.
@@ -63,6 +63,9 @@ def tiny(tmp_path):
     (tmp_path / "l.json").write_text(_cdx("requests", "zlib"))
     (tmp_path / "r.json").write_text(_cdx("requests2", "zlib"))
     (tmp_path / "parts.csv").write_text("ref,name,parent\nb,board,\nc,cap,b\n")
+    (tmp_path / "refless.json").write_text(json.dumps({
+        "bomFormat": "CycloneDX", "specVersion": "1.5", "components": [{"name": "cap"}],
+    }))
     return tmp_path
 
 
@@ -95,9 +98,10 @@ _FLAT, _GRAPH = ["bomdiff.flatcompare"], ["bomdiff.graphcompare", "bomdiff.fuzzy
     (["graph", "parts.csv", "parts.csv"], 0, _GRAPH + ["csv"]),
     (["inspect", "--timestamp", "l.json"], 0, _FLAT + ["datetime"]),
     (["inspect", "parts.csv"], 0, _FLAT + ["csv"]),
+    (["inspect", "refless.json"], 0, _FLAT + ["hashlib"]),
 ], ids=["inspect", "compare", "compare-set-json", "orgs", "licenses", "compare-fuzzy",
         "graph", "graph-json", "graph-dot", "graph-stats", "graph-equal", "timestamp",
-        "csv-input"])
+        "csv-input", "refless-input"])
 def test_each_command_loads_only_what_it_runs(tiny, argv, code, loaded):
     r = _fresh(["-c", _PROBE, *argv], tiny)
     assert r.returncode == 0, r.stderr

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,47 @@ def ref_jaro(s1, s2):
     return (m / len(s1) + m / len(s2) + (m - t) / m) / 3
 
 
+# The kernel as it was before it searched with ``str.find``: a flag per s2
+# position and a scan of each window. Kept as the oracle for ``jaro``.
+def window_scan_jaro(s1, s2):
+    len1, len2 = len(s1), len(s2)
+    if len1 == 0 and len2 == 0:
+        return 1.0
+    if len1 == 0 or len2 == 0:
+        return 0.0
+    window = (len1 if len1 > len2 else len2) // 2 - 1
+    if window < 0:
+        window = 0
+
+    flags2 = [False] * len2
+    matched1 = []
+    for i in range(len1):
+        ch = s1[i]
+        start = i - window if i > window else 0
+        end = i + window + 1
+        if end > len2:
+            end = len2
+        for j in range(start, end):
+            if not flags2[j] and s2[j] == ch:
+                flags2[j] = True
+                matched1.append(ch)
+                break
+
+    m = len(matched1)
+    if m == 0:
+        return 0.0
+
+    mismatches = 0
+    k = 0
+    for j in range(len2):
+        if flags2[j]:
+            if s2[j] != matched1[k]:
+                mismatches += 1
+            k += 1
+    t = mismatches // 2
+    return (m / len1 + m / len2 + (m - t) / m) / 3.0
+
+
 def ref_jaro_winkler(s1, s2, scale=0.1, max_prefix=4):
     j = ref_jaro(s1, s2)
     prefix = 0
@@ -54,8 +96,20 @@ def ref_jaro_winkler(s1, s2, scale=0.1, max_prefix=4):
     return j + prefix * scale * (1 - j)
 
 
-names = st.text(
+# Short ASCII names, and names up to 300 characters built from runs of one
+# letter, with non-ASCII and astral code points: long runs make the windows
+# hold many equal characters.
+_short_names = st.text(
     alphabet=st.sampled_from("abcdefgh-._0123456789"), min_size=0, max_size=24
+)
+_runs = st.lists(
+    st.tuples(st.sampled_from("aab-\u00e9\u0436\U0001f600\U0010ffff"), st.integers(1, 60)),
+    max_size=10,
+)
+names = st.one_of(
+    _short_names,
+    _runs.map(lambda runs: "".join(ch * n for ch, n in runs)[:300]),
+    st.text(alphabet=st.sampled_from("ab\u00e9\U0001f600"), max_size=300),
 )
 
 # Characters that stress the prefix slices of ``all_pairs_matches``: upper
@@ -177,7 +231,7 @@ def test_trivial_values():
 @given(names, names)
 @settings(max_examples=500)
 def test_jaro_matches_reference(s1, s2):
-    assert jaro(s1, s2) == ref_jaro(s1, s2)
+    assert jaro(s1, s2) == window_scan_jaro(s1, s2) == ref_jaro(s1, s2)
 
 
 @given(names, names)
@@ -405,3 +459,22 @@ def test_kernel_calls_no_more_than_pairwise_bound(monkeypatch, corpus, exclude_e
     assert new_calls <= old_calls - old_equal
     if corpus is _numbered_corpus and not exclude_exact:
         assert old_equal == 270
+
+
+@pytest.mark.parametrize("pair", [
+    lambda n: ("a" * (n - 1) + "b", "a" * n),  # one character apart
+    lambda n: ("a" * n, "b" * n),  # no shared character
+], ids=["one-apart", "disjoint"])
+def test_jaro_is_near_linear_in_name_length(pair):
+    # The window scan took 15-25x as long at 4x the length.
+    def best_time(length):
+        s1, s2 = pair(length)
+        assert jaro(s1, s2) == window_scan_jaro(s1, s2)
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            jaro(s1, s2)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    assert best_time(4000) / best_time(1000) < 8

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -568,6 +569,29 @@ def test_hbom_json_variant():
     assert doc.relationships[0].kind is RelationshipKind.CONTAINS
 
 
+def test_hbom_json_keys_follow_the_csv_header_rule():
+    def rows(*items):
+        return json.dumps({"hbom": list(items)}).encode()
+
+    # stripped, as CSV header cells are
+    doc = parse_hbom(rows({" ref ": "a", "name ": "chip", " vendor": "acme", " color ": "red"}))
+    assert [(c.id, c.name, c.vendor, c.extra) for c in doc.components] == [
+        ("a", "chip", "acme", (("color", "red"),))]
+    # a blank key holds only a blank value: it used to give the extra
+    # (('', 'x'), (' ', 'y'))
+    with pytest.raises(ParseError, match=r"^row 1: value under a blank key$"):
+        parse_hbom(rows({"ref": "a", "name": "chip", "": "x", " ": "y"}))
+    with pytest.raises(ParseError, match=r"^row 2: value under a blank key$"):
+        parse_hbom(rows({"ref": "a", "name": "chip"}, {"ref": "b", "name": "cap", " ": 0}))
+    doc = parse_hbom(rows({"ref": "a", "name": "chip", "": " ", " ": None}))
+    assert [(c.id, c.extra) for c in doc.components] == [("a", ())]
+    # keys equal after stripping would lose one value
+    for item, key in (({"ref": "a", "name": "chip", " name": "cap"}, "name"),
+                      ({"ref": "a", "name": "chip", "pin": "1", "pin ": "2"}, "pin")):
+        with pytest.raises(ParseError, match=rf"^row 1: duplicate key '{key}'$"):
+            parse_hbom(rows(item))
+
+
 # Detection reads the CSV header with the parser's reader, so a table is an
 # HBOM table to both or to neither. Detection used to split the first 4096
 # characters on "," and lowercase the cells.
@@ -703,8 +727,10 @@ def test_cyclonedx_parse_is_order_independent(rng):
     assert parse_cyclonedx(json.dumps(shuffled).encode()) == reference
 
 
-def recursive_subtree_keys(entries, parent_of, wanted):
-    """Reference: the original memoized recursion over children_of."""
+def _recursive_keys(entries, parent_of, wanted, seal):
+    """The original memoized recursion over children_of: each key is
+    ``seal`` of the entry's own fields as sorted JSON, "|", then its
+    children's keys sorted and joined by ","."""
     children_of = {}
     for i, p in enumerate(parent_of):
         if p is not None:
@@ -718,12 +744,26 @@ def recursive_subtree_keys(entries, parent_of, wanted):
                 sort_keys=True,
             )
             kids = sorted(subtree_key(c) for c in children_of.get(i, ()))
-            memo[i] = own + "|" + ",".join(kids)
+            memo[i] = seal(own + "|" + ",".join(kids))
         return memo[i]
 
     for i in wanted:
         subtree_key(i)
     return memo
+
+
+def recursive_subtree_keys(entries, parent_of, wanted):
+    """The keys before they were digests: each subtree's whole text. Kept as
+    the oracle for the ids of input without ties between different
+    subtrees."""
+    return _recursive_keys(entries, parent_of, wanted, lambda text: text)
+
+
+def recursive_digest_keys(entries, parent_of, wanted):
+    """Reference: each key the SHA-256 hex digest of its text, as in a
+    Merkle tree."""
+    return _recursive_keys(entries, parent_of, wanted,
+                           lambda text: hashlib.sha256(text.encode()).hexdigest())
 
 
 # Refless components from small pools, so equal (name, version, purl) ties
@@ -761,9 +801,21 @@ def _preorder(forest):
 def test_subtree_keys_equal_recursive_oracle(forest, wanted):
     entries, parent_of = _preorder(forest)
     wanted = [i for i in sorted(wanted) if i < len(entries)]
-    assert ingest._subtree_keys(entries, parent_of, wanted) == recursive_subtree_keys(
+    assert ingest._subtree_keys(entries, parent_of, wanted) == recursive_digest_keys(
         entries, parent_of, wanted
     )
+
+
+def _has_tie(forest):
+    """Whether two refless entries agree in (name, version, purl) but not in
+    subtree: the only entries whose order, and so ids, the digests change."""
+    entries, parent_of = _preorder(forest)
+    keys = recursive_subtree_keys(entries, parent_of, range(len(entries)))
+    subtrees = {}
+    for i, e in enumerate(entries):
+        fields = tuple(str(e.get(f, "")) for f in ("name", "version", "purl"))
+        subtrees.setdefault(fields, set()).add(keys[i])
+    return any(len(found) > 1 for found in subtrees.values())
 
 
 @given(_forests)
@@ -772,8 +824,50 @@ def test_refless_ids_unchanged_by_iterative_keys(forest):
     raw = json.dumps({"bomFormat": "CycloneDX", "specVersion": "1.5", "components": forest})
     doc = parse_cyclonedx(raw.encode())
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "_subtree_keys", recursive_subtree_keys)
+        mp.setattr(ingest, "_subtree_keys", recursive_digest_keys)
         assert parse_cyclonedx(raw.encode()) == doc
+        if not _has_tie(forest):
+            mp.setattr(ingest, "_subtree_keys", recursive_subtree_keys)
+            assert parse_cyclonedx(raw.encode()) == doc
+
+
+def test_digest_keys_reorder_ties_between_different_subtrees():
+    # Two refless "cap" assemblies, one holding a board and one a chip. The
+    # whole-text keys ordered the board's first, so it took the id "cap";
+    # the digests order the chip's first.
+    comps = [{"name": "cap", "components": [{"name": "board"}]},
+             {"name": "cap", "components": [{"name": "chip"}]}]
+    assert _has_tie(comps)
+    raw = json.dumps({"bomFormat": "CycloneDX", "specVersion": "1.5", "components": comps}).encode()
+    contains = RelationshipKind.CONTAINS
+    edges = [(r.source, r.target, r.kind) for r in parse_cyclonedx(raw).relationships]
+    assert edges == [("cap", "chip", contains), ("cap#2", "board", contains)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_subtree_keys", recursive_subtree_keys)
+        edges = [(r.source, r.target, r.kind) for r in parse_cyclonedx(raw).relationships]
+        assert edges == [("cap", "board", contains), ("cap#2", "chip", contains)]
+
+
+def test_subtree_keys_stay_linear_in_a_deep_comb():
+    # A refless chain 400 deep with 20 refless leaves at each level. Keys
+    # holding each subtree's whole text peaked at about 57 MiB here; digests
+    # at about 1.5 MiB.
+    level = None
+    for d in range(400):
+        kids = [{"name": "leaf", "version": str(k)} for k in range(20)]
+        if level is not None:
+            kids.append(level)
+        level = {"name": "link", "version": str(d), "components": kids}
+    entries, parent_of = _preorder([level])
+    assert len(entries) == 8400
+    tracemalloc.start()
+    try:
+        keys = ingest._subtree_keys(entries, parent_of, range(len(entries)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == len(entries)
+    assert peak < 8 * 2**20
 
 
 def test_nesting_deeper_than_the_limit_is_the_decoders_error():

@@ -232,7 +232,7 @@ def test_classify_prefix_wins_over_transcription():
 
 
 # The full-matrix edit distance that classify_differences used before the
-# banded check. Kept as the oracle for ``_within_edits``.
+# banded check below. Kept as the oracle for ``_within_edits``.
 def _levenshtein(a: str, b: str) -> int:
     if len(a) < len(b):
         a, b = b, a
@@ -247,18 +247,77 @@ def _levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
+# The check that classify_differences used before prefix stripping: only
+# the 2k + 1 cells within k of the diagonal of the matrix above (E. Ukkonen,
+# "Algorithms for approximate string matching", Information and Control 64,
+# 1985). Kept as a second oracle for ``_within_edits``.
+def _banded_within_edits(a: str, b: str, k: int) -> bool:
+    n, m = len(a), len(b)
+    if abs(n - m) > k:
+        return False
+    over = k + 1
+    width = 2 * k + 1
+    # row[d] is the distance between a[:i] and b[:j] for j = i - k + d.
+    row = [d - k if k <= d <= k + m else over for d in range(width)]
+    for i in range(1, n + 1):
+        ca = a[i - 1]
+        prev, row = row, [over] * width
+        for d in range(max(0, k - i), min(width, k + m - i + 1)):
+            j = i - k + d
+            if j == 0:
+                best = i
+            else:
+                best = prev[d] + (ca != b[j - 1])
+                if d + 1 < width and prev[d + 1] < best:
+                    best = prev[d + 1] + 1
+                if d and row[d - 1] < best:
+                    best = row[d - 1] + 1
+            row[d] = best if best < over else over
+        if min(row) > k:
+            return False
+    return row[m - n + k] <= k
+
+
 short_names = st.text(alphabet=st.sampled_from("abc-"), max_size=24)
 
 
-@given(short_names, short_names, st.integers(0, 3))
+def _edited(a, edits):
+    for op, at, ch in edits:
+        at = min(at, len(a))
+        if op == "substitute":
+            a = a[:at] + ch + a[at + 1:]
+        elif op == "delete":
+            a = a[:at] + a[at + 1:]
+        else:
+            a = a[:at] + ch + a[at:]
+    return a
+
+
+# Independent names, and names a few edits apart, so that distances near k
+# are common.
+_edits = st.lists(
+    st.tuples(st.sampled_from(("substitute", "delete", "insert")), st.integers(0, 30),
+              st.sampled_from("abc-")),
+    max_size=4,
+)
+name_pairs = st.one_of(
+    st.tuples(short_names, short_names),
+    st.tuples(short_names, _edits).map(lambda ae: (ae[0], _edited(*ae))),
+)
+
+
+@given(name_pairs, st.integers(0, 3))
 @settings(max_examples=500)
-def test_banded_edit_check_equals_full_distance(a, b, k):
-    assert _within_edits(a, b, k) == (_levenshtein(a, b) <= k)
+def test_banded_edit_check_equals_full_distance(pair, k):
+    a, b = pair
+    want = _levenshtein(a, b) <= k
+    assert _banded_within_edits(a, b, k) == want
+    assert _within_edits(a, b, k) == want
 
 
 def test_transcription_check_is_linear_in_name_length():
-    # Two names one character apart at the end: the band runs its whole
-    # length. The full matrix took 16x as long at 4x the length.
+    # Two names one character apart at the end: the common prefix runs
+    # their whole length. The full matrix took 16x as long at 4x the length.
     def best_time(length):
         rng = random.Random(length)
         stem = "".join(rng.choice("abcdefgh") for _ in range(length - 1))
